@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from repro.algorithms.base import OnlineAlgorithm
 from repro.algorithms.recon import Reconciliation
-from repro.core.assignment import AdInstance, Assignment
+from repro.core.assignment import COMMITTED, AdInstance, Assignment
 from repro.core.entities import Customer, Vendor
 from repro.core.problem import MUAAProblem
 
@@ -133,6 +133,6 @@ def run_batched(
 
     result = OnlineSimulator(problem).run(algorithm, arrivals=arrivals)
     for instance in algorithm.flush_pending(problem, result.assignment):
-        if not result.assignment.add(instance, strict=False):
+        if result.assignment.commit(instance) != COMMITTED:
             result.rejected_instances += 1
     return result

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import AdInstance, Assignment
@@ -217,7 +217,30 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
         assignment: Assignment,
     ) -> List[AdInstance]:
         # Line 2: valid vendors by the spatial constraint.
-        vendor_ids = problem.valid_vendor_ids(customer)
+        return self.decide(
+            problem, customer, assignment, problem.valid_vendor_ids(customer)
+        )
+
+    def decide(
+        self,
+        problem: MUAAProblem,
+        customer: Customer,
+        assignment: Assignment,
+        vendor_ids: Sequence[int],
+        snapshot: Optional[Mapping[Tuple[int, int], tuple]] = None,
+    ) -> List[AdInstance]:
+        """Algorithm 2, lines 3-8, over the customer's valid, active
+        ``vendor_ids``: the one copy of the O-AFA rule, used by
+        :meth:`process_customer` and the batched scorer alike.
+
+        ``snapshot`` optionally maps ``(customer_id, vendor_id)`` to an
+        earlier answer ``(ad_type, utility, spent)``: the pair's best
+        affordable ad type (``None`` when none was affordable) and its
+        utility, scored at the vendor's spend ``spent``.  An answer
+        stands only while the vendor's spend is still ``spent``; every
+        other vendor is scored against ``assignment``.  Returns at most
+        ``customer.capacity`` instances to commit.
+        """
         potential: List[AdInstance] = []
         # Hot path: with a built compute engine, skip the per-call
         # dispatch in ``problem.best_instance_for_pair`` (the engine
@@ -227,16 +250,20 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
         customer_id = customer.customer_id
         spend_for_vendor = assignment.spend_for_vendor
         budgets = problem.budgets
+        threshold = self.threshold_function.threshold
         for vendor_id in vendor_ids:
             budget = budgets[vendor_id]
             if budget <= 0:
                 continue
             spent = spend_for_vendor(vendor_id)
-            remaining = budget - spent
-            # Line 4: the vendor's "best" (highest-efficiency) affordable
-            # ad type for this customer.
-            if lookup is not None:
-                best = lookup(customer_id, vendor_id, max_cost=remaining)
+            scored = snapshot and snapshot.get((customer_id, vendor_id))
+            if not scored or scored[2] != spent:
+                remaining = budget - spent
+                # Line 4: the vendor's "best" (highest-efficiency)
+                # affordable ad type for this customer.
+                best = MISS
+                if lookup is not None:
+                    best = lookup(customer_id, vendor_id, max_cost=remaining)
                 if best is MISS:
                     best = problem.best_instance_for_pair(
                         customer_id,
@@ -244,20 +271,19 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
                         by="efficiency",
                         max_cost=remaining,
                     )
+                if best is None or best.utility <= 0:
+                    continue
+                utility, cost = best.utility, best.cost
             else:
-                best = problem.best_instance_for_pair(
-                    customer_id,
-                    vendor_id,
-                    by="efficiency",
-                    max_cost=remaining,
-                )
-            if best is None or best.utility <= 0:
-                continue
+                ad_type, utility, _ = scored
+                if ad_type is None or utility <= 0:
+                    continue
+                best, cost = None, ad_type.cost
             # Line 5: adaptive acceptance test on the used-budget ratio.
-            delta = spent / budget
-            phi = self.threshold_function.threshold(delta, vendor_id)
-            if best.efficiency >= phi - _EPS:
-                potential.append(best)
+            if utility / cost >= threshold(spent / budget, vendor_id) - _EPS:
+                potential.append(best or AdInstance(
+                    customer_id, vendor_id, ad_type.type_id, utility, cost
+                ))
         # Lines 7-8: keep the top-a_i instances by budget efficiency.
         if len(potential) > customer.capacity:
             potential.sort(key=lambda inst: -inst.efficiency)

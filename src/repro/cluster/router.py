@@ -10,7 +10,9 @@ idempotently, so a retry returns the identical decision) and only a
 persistently failing exchange escalates to the shard's circuit breaker.
 
 When a shard cannot serve -- worker dead, breaker open, retries
-exhausted, shard given up -- the decision walks the degradation ladder:
+exhausted, shard given up -- the decision walks the degradation ladder
+(``ClusterConfig.ladder``), one
+:class:`~repro.algorithms.fallback.FallbackChain` over its tiers:
 
 1. ``replica``: decide on the router's own copy of the shard view with
    the primary algorithm (full quality, router-side CPU);
@@ -18,9 +20,10 @@ exhausted, shard given up -- the decision walks the degradation ladder:
 3. ``nearest``: the nearest-vendor heuristic;
 4. ``shed``: drop the customer (counted, never an exception).
 
-Each tier is attempted in order and any :class:`ResilienceError` falls
-through to the next, so a customer always gets *an* answer and chaos
-runs finish with zero unhandled exceptions.
+The chain tries the tiers before the first ``shed`` in order and any
+:class:`ResilienceError` falls through to the next; a customer no tier
+serves is shed, so chaos runs finish with zero unhandled exceptions.
+Commits go through :meth:`~repro.core.assignment.Assignment.commit`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.algorithms.fallback import FallbackChain, FallbackTier
 from repro.algorithms.nearest import NearestVendor
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.algorithms.online_static import OnlineStaticThreshold
@@ -43,7 +47,7 @@ from repro.cluster.protocol import (
     corrupt,
     unseal,
 )
-from repro.core.assignment import AdInstance
+from repro.core.assignment import COMMITTED, AdInstance
 from repro.core.entities import Customer
 from repro.exceptions import (
     CircuitOpenError,
@@ -171,13 +175,22 @@ class ClusterRouter:
         self._control = control
         self._chaos = chaos
         self._retry_attempts = retry_attempts
-        self._ladder = ladder
         self._primary = OnlineAdaptiveFactorAware(gamma_min=gamma_min, g=g)
         self._primary.reset(problem)
-        self._static = OnlineStaticThreshold(0.0)
-        self._static.reset(problem)
-        self._nearest = NearestVendor()
-        self._nearest.reset(problem)
+        # One FallbackChain walks the tiers before the first "shed"; a
+        # customer no tier serves is shed.
+        if "shed" in ladder:
+            ladder = ladder[: ladder.index("shed")]
+        static = OnlineStaticThreshold(0.0)
+        tiers = {
+            "replica": FallbackTier(self._primary),
+            "static": FallbackTier(static, problem=problem),
+            "nearest": FallbackTier(NearestVendor(), problem=problem),
+        }
+        self._ladder = tuple(ladder)
+        self._chain = (
+            FallbackChain([tiers[name] for name in ladder]) if ladder else None
+        )
         self.assignment = problem.new_assignment()
         self._seen: set = set()
         # Flat replay logs, *filtered at replay time* by the current
@@ -276,46 +289,34 @@ class ClusterRouter:
     def _degrade(
         self,
         customer: Customer,
-        shard: Optional[int],
+        shard: int,
         tick: int,
         reason: str,
     ) -> Tuple[List[AdInstance], str]:
         rec = recorder()
         rec.event(
             "cluster.fallback",
-            shard=-1 if shard is None else shard,
+            shard=shard,
             customer=customer.customer_id,
             reason=reason,
         )
-        for tier in self._ladder:
+        if self._chain is not None:
             try:
-                if tier == "replica":
-                    if shard is None:
-                        continue
-                    view = self._plan.problem_for(shard)
-                    with rec.span(
-                        "cluster.replica_decision",
-                        shard=shard,
-                        customer=customer.customer_id,
-                    ):
-                        picked = self._primary.process_customer(
-                            view, customer, self.assignment
-                        )
-                    return list(picked), "replica"
-                if tier == "static":
-                    picked = self._static.process_customer(
-                        self._problem, customer, self.assignment
+                with rec.span(
+                    "cluster.degraded_decision",
+                    shard=shard,
+                    customer=customer.customer_id,
+                ):
+                    # The replica tier decides on the shard view; the
+                    # static and nearest tiers carry the whole problem.
+                    picked = self._chain.process_customer(
+                        self._plan.problem_for(shard),
+                        customer,
+                        self.assignment,
                     )
-                    return list(picked), "static"
-                if tier == "nearest":
-                    picked = self._nearest.process_customer(
-                        self._problem, customer, self.assignment
-                    )
-                    return list(picked), "nearest"
+                return list(picked), self._ladder[self._chain.last_tier_used]
             except ResilienceError:
-                continue
-            if tier == "shed":
-                break
+                pass
         self.stats.shed += 1
         rec.count("cluster.shed")
         return [], "shed"
@@ -327,7 +328,7 @@ class ClusterRouter:
             if instance.customer_id not in self._seen:
                 self.stats.rejected_instances += 1
                 continue
-            if self.assignment.add(instance, strict=False):
+            if self.assignment.commit(instance) == COMMITTED:
                 committed.append(instance)
                 rec.count("cluster.commits")
                 self._committed_log.append(instance)

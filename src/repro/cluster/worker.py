@@ -44,7 +44,7 @@ from repro.cluster.protocol import (
     unseal,
 )
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
-from repro.core.assignment import AdInstance
+from repro.core.assignment import COMMITTED, AdInstance
 from repro.engine.edges import CandidateEdges
 from repro.engine.engine import ComputeEngine
 from repro.obs.recorder import NullRecorder, Recorder
@@ -203,7 +203,7 @@ class ShardServer:
                 )
             )
         for instance in picked:
-            if self._assignment.add(instance, strict=False):
+            if self._assignment.commit(instance) == COMMITTED:
                 self._committed += 1
         self._decided[cid] = picked
         return DecideReply(
@@ -262,7 +262,7 @@ class ShardServer:
         """Restore budgets and the decision cache after a restart."""
         replayed = 0
         for instance in request.instances:
-            if self._assignment.add(instance, strict=False):
+            if self._assignment.commit(instance) == COMMITTED:
                 replayed += 1
         for cid, picked in request.decided:
             self._decided[cid] = tuple(picked)

@@ -15,6 +15,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import ConstraintViolationError
 
+#: Outcomes of :meth:`Assignment.commit`.
+COMMITTED, DUPLICATE, REJECTED = "committed", "duplicate", "rejected"
+
 
 @dataclass(frozen=True)
 class AdInstance:
@@ -173,6 +176,17 @@ class Assignment:
         )
         self._total_utility += instance.utility
         return True
+
+    def commit(self, instance: AdInstance) -> str:
+        """Idempotently commit one decided instance (every serving path
+        commits here): ``DUPLICATE`` if the pair already holds this very
+        instance (a re-delivery, not charged twice), ``REJECTED`` if it
+        holds another or capacity/budget forbid it, else ``COMMITTED``.
+        """
+        existing = self._instances.get(instance.pair)
+        if existing is not None:
+            return DUPLICATE if existing == instance else REJECTED
+        return COMMITTED if self.add(instance, strict=False) else REJECTED
 
     def remove(self, customer_id: int, vendor_id: int) -> AdInstance:
         """Remove and return the instance of a pair.

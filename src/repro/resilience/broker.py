@@ -14,9 +14,11 @@ is wrapped:
   :class:`~repro.algorithms.fallback.FallbackChain`
   (O-AFA -> static-threshold O-AFA -> nearest-vendor), so an open
   breaker degrades quality instead of availability;
-* the **commit path** is idempotent: a delivery re-attempt caused by a
-  lost acknowledgement is recognised and suppressed, so a vendor's
-  budget is never charged twice for one ad.
+* the **commit path** is idempotent: every delivery attempt goes
+  through the one pair-level
+  :meth:`~repro.core.assignment.Assignment.commit`, so a re-attempt
+  caused by a lost acknowledgement is recognised as a duplicate and a
+  vendor's budget is never charged twice for one ad.
 
 The broker never raises out of :meth:`ResilientBroker.run`: when every
 tier fails for a customer, that decision is abandoned (counted) and the
@@ -37,7 +39,13 @@ from repro.algorithms.fallback import FallbackChain, FallbackTier
 from repro.algorithms.nearest import NearestVendor
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.algorithms.online_static import OnlineStaticThreshold
-from repro.core.assignment import AdInstance, Assignment
+from repro.core.assignment import (
+    COMMITTED,
+    DUPLICATE,
+    REJECTED,
+    AdInstance,
+    Assignment,
+)
 from repro.core.entities import AdType, Customer, Vendor
 from repro.core.problem import MUAAProblem
 from repro.exceptions import ResilienceError, TransientError
@@ -60,8 +68,9 @@ from repro.utility.model import DelegatingUtilityModel, UtilityModel
 
 logger = logging.getLogger(__name__)
 
-#: Commit outcomes of :meth:`ResilientBroker._commit`.
-_COMMITTED, _INFEASIBLE, _FAILED = "committed", "infeasible", "failed"
+#: Outcome of :meth:`ResilientBroker._commit` when every delivery
+#: attempt failed (beside ``COMMITTED`` and ``REJECTED``).
+_FAILED = "failed"
 
 
 class GuardedUtilityModel(DelegatingUtilityModel):
@@ -411,7 +420,7 @@ class ResilientBroker:
                     outcome = self._commit(
                         instance, assignment, injector, stats, jitter_rng
                     )
-                    if outcome == _INFEASIBLE:
+                    if outcome == REJECTED:
                         result.rejected_instances += 1
                     elif outcome == _FAILED:
                         stats.deliveries_failed += 1
@@ -421,7 +430,7 @@ class ResilientBroker:
                     # the same guarded calls) as the seed broker.
                     if (
                         churn is not None
-                        and outcome != _INFEASIBLE
+                        and outcome != REJECTED
                         and problem.note_if_exhausted(
                             assignment, instance.vendor_id
                         )
@@ -507,25 +516,18 @@ class ResilientBroker:
                 stats.retries += 1
                 self._clock.sleep(self._retry.backoff(attempt, rng))
                 continue
-            existing = assignment.instance_for_pair(
-                instance.customer_id, instance.vendor_id
-            )
-            if existing is not None:
-                if existing == instance:
-                    # A previous attempt committed but its ack was
-                    # lost; recognise and suppress the duplicate.
-                    stats.duplicates_suppressed += 1
-                    logger.debug("suppressed duplicate delivery %s", instance)
-                    return _COMMITTED
-                return _INFEASIBLE
-            if not assignment.add(instance, strict=False):
-                return _INFEASIBLE
-            if injector.ack_lost():
-                # Committed, but the broker does not know -- re-attempt
-                # as a real at-least-once delivery pipeline would.
-                stats.retries += 1
-                continue
-            return _COMMITTED
+            outcome = assignment.commit(instance)
+            if outcome == DUPLICATE:
+                # A previous attempt committed but its ack was lost;
+                # recognise and suppress the duplicate.
+                stats.duplicates_suppressed += 1
+                logger.debug("suppressed duplicate delivery %s", instance)
+                return COMMITTED
+            if outcome == REJECTED or not injector.ack_lost():
+                return outcome
+            # Committed, but the broker does not know -- re-attempt as a
+            # real at-least-once delivery pipeline would.
+            stats.retries += 1
         # Attempts exhausted with the ack still lost: the ad *was*
         # delivered exactly once; only our confirmation is missing.
-        return _COMMITTED
+        return COMMITTED

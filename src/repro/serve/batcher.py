@@ -6,10 +6,11 @@ full, or the oldest queued request has waited ``max_wait`` seconds) and
 the batch's customers to their shards, answers every candidate lookup
 of a shard group in **one engine kernel call**
 (:meth:`~repro.engine.engine.ComputeEngine.batch_best` over the
-batch's gathered edge positions), and then resolves intra-batch budget
-contention sequentially in arrival order against the shared committed
-assignment, using the same idempotent commit discipline as
-:class:`~repro.resilience.broker.ResilientBroker`.
+batch's gathered edge positions), and then decides each request in
+arrival order with O-AFA's one decide step
+(:meth:`~repro.algorithms.online_afa.OnlineAdaptiveFactorAware.decide`)
+and commits it through the one pair-level commit
+(:meth:`~repro.core.assignment.Assignment.commit`).
 
 Exactness
 ---------
@@ -19,17 +20,15 @@ O-AFA loop (:class:`~repro.stream.simulator.OnlineSimulator`) over the
 same arrivals in the same order:
 
 * The vectorized phase snapshots per-vendor spend at flush time and
-  evaluates every (request, candidate-vendor) pair against that
-  snapshot.  Affordability, best-type selection, and threshold
-  acceptance read the same precomputed matrices (and the same
-  tolerances) as the scalar ``best_for_pair`` path, so any pair whose
-  vendor state is untouched since the snapshot gets bit-for-bit the
-  sequential decision.
-* The sequential resolution phase walks requests in arrival order and
-  re-scores exactly the candidates whose vendor was *dirtied* by an
-  earlier in-batch commit (spend changed or vendor auto-deactivated)
-  through the scalar lookup at the current state -- which is precisely
-  what the sequential loop would have seen.
+  answers every (request, candidate-vendor) best-type lookup against
+  that snapshot from the same precomputed matrices as the scalar
+  ``best_for_pair`` path, so any pair whose vendor state is untouched
+  since the snapshot gets bit-for-bit the sequential answer.
+* The decide phase walks requests in arrival order.  A snapshot answer
+  stands only while its vendor's spend is unchanged, so a vendor
+  *dirtied* by an earlier in-batch commit is re-scored by the decide
+  step at the current state, and one auto-deactivated since the gather
+  is skipped -- precisely what the sequential loop would have seen.
 * Vendors are partitioned across shards, so shard groups touch
   disjoint budgets and their relative order cannot change any
   decision.
@@ -44,20 +43,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
-from repro.core.assignment import AdInstance, Assignment
-from repro.engine.engine import MISS
+from repro.core.assignment import COMMITTED, DUPLICATE, AdInstance, Assignment
 from repro.obs.recorder import recorder
 from repro.serve.request import AdRequest, ServeStats
 
-#: Threshold-acceptance tolerance, identical to the O-AFA loop.
-_EPS = 1e-9
-
 #: Batch-size histogram bounds (requests per flush, power-of-two-ish).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-#: Flat-candidate marker for pairs outside the engine's edge table
-#: (always resolved through the scalar fallback path).
-_NO_EDGE = -1
 
 
 class MicroBatcher:
@@ -105,9 +96,8 @@ class BatchScorer:
         problem: The full MUAA problem (budgets are authoritative
             here; commits always land on the global assignment).
         algorithm: The online algorithm.  The vectorized batch path
-            requires an :class:`OnlineAdaptiveFactorAware` (its
-            candidate/threshold structure is what the kernel
-            reproduces); any other algorithm is scored sequentially
+            requires O-AFA's own ``process_customer`` (a subclass may
+            change the threshold only); any other algorithm is scored
             per request, which is exact by construction.
         shard_plan: Optional :class:`~repro.sharding.ShardPlan`; each
             request is routed to one shard and decided against that
@@ -214,49 +204,44 @@ class BatchScorer:
     ) -> None:
         engine = self._engine_for(shard, target)
         algorithm = self._algorithm
-        if engine is None or not isinstance(
-            algorithm, OnlineAdaptiveFactorAware
-        ):
+        # The kernel pre-scores candidates for O-AFA's own decide step
+        # only; a subclass with its own process_customer (one that
+        # learns from every arrival, say) is served request by request.
+        if engine is None or getattr(
+            type(algorithm), "process_customer", None
+        ) is not OnlineAdaptiveFactorAware.process_customer:
             # Reference path: exact by construction (scalar-only models,
             # or algorithms the kernel does not model).
             for request in group:
                 picked = algorithm.process_customer(
                     target, request.customer, self.assignment
                 )
-                self._commit(request, picked, shard, results, set())
+                self._commit(request, picked, shard, results)
             return
 
         budgets = target.budgets
         spend = self.assignment.spend_for_vendor
-        threshold = algorithm.threshold_function
 
-        # Phase A -- snapshot gather.  Enumerate every (request,
-        # candidate vendor) pair against the spend snapshot at flush
-        # time, collect edge positions, and answer all best-type
-        # lookups in ONE kernel call.
+        # Phase A -- snapshot gather.  Collect the edge position of
+        # every (request, candidate vendor) pair with the vendor's spend
+        # at flush time, and answer all best-type lookups in ONE kernel
+        # call.  Pairs outside the edge table get no snapshot answer.
+        pairs: List[Tuple[int, int, float]] = []
         flat_positions: List[int] = []
         flat_remaining: List[float] = []
-        # Per request: [(vendor_id, flat index | _NO_EDGE, spent, budget)]
-        per_request: List[List[Tuple[int, int, float, float]]] = []
+        gathered: List[List[int]] = []
         for request in group:
             cid = request.customer.customer_id
-            entries: List[Tuple[int, int, float, float]] = []
-            for vid in target.valid_vendor_ids(request.customer):
-                budget = budgets[vid]
-                if budget <= 0:
-                    continue
-                spent = spend(vid)
+            vendor_ids = target.valid_vendor_ids(request.customer)
+            for vid in vendor_ids:
                 pos = engine.edge_position(cid, vid)
-                if pos is None:
-                    entries.append((vid, _NO_EDGE, spent, budget))
-                else:
-                    entries.append(
-                        (vid, len(flat_positions), spent, budget)
-                    )
+                if pos is not None:
+                    spent = spend(vid)
+                    pairs.append((cid, vid, spent))
                     flat_positions.append(pos)
-                    flat_remaining.append(budget - spent)
-            per_request.append(entries)
-
+                    flat_remaining.append(budgets[vid] - spent)
+            gathered.append(vendor_ids)
+        snapshot = {}
         if flat_positions:
             with recorder().span(
                 "serve.kernel", shard=shard, lookups=len(flat_positions)
@@ -264,74 +249,34 @@ class BatchScorer:
                 best_k, best_util, affordable = engine.batch_best(
                     flat_positions, flat_remaining
                 )
-            best_k = best_k.tolist()
-            best_util = best_util.tolist()
-            affordable = affordable.tolist()
-        else:
-            best_k, best_util, affordable = [], [], []
+            ad_types = target.ad_types
+            snapshot = {
+                (cid, vid): (ad_types[k] if ok else None, utility, spent)
+                for (cid, vid, spent), k, utility, ok in zip(
+                    pairs,
+                    best_k.tolist(),
+                    best_util.tolist(),
+                    affordable.tolist(),
+                )
+            }
 
-        # Phase B -- sequential contention resolution in arrival order.
-        # A candidate is "dirty" once an earlier in-batch commit changed
-        # its vendor's spend (or deactivated it); dirty candidates are
-        # re-scored at the current state, clean ones keep their exact
-        # snapshot answer.
-        ad_types = target.ad_types
+        # Phase B -- decide in arrival order.  An earlier in-batch
+        # commit changes its vendor's spend, which voids that vendor's
+        # snapshot answers: the decide step re-scores it at the current
+        # state, exactly as the sequential loop would.
         inactive = target.churn.inactive
-        touched: set = set()
-        for request, entries in zip(group, per_request):
-            cid = request.customer.customer_id
-            potential: List[AdInstance] = []
-            for vid, flat, snap_spent, budget in entries:
-                if vid in inactive:
-                    # The sequential loop's candidate scan would have
-                    # skipped (and counted) this vendor.
-                    target.churn.skips += 1
-                    continue
-                if flat == _NO_EDGE or vid in touched:
-                    best = self._scalar_best(engine, target, cid, vid, budget)
-                    if best is None:
-                        continue
-                    best_inst, delta = best
-                    phi = threshold.threshold(delta, vid)
-                    if best_inst.efficiency >= phi - _EPS:
-                        potential.append(best_inst)
-                    continue
-                if not affordable[flat]:
-                    continue
-                utility = best_util[flat]
-                if utility <= 0:
-                    continue
-                ad_type = ad_types[best_k[flat]]
-                phi = threshold.threshold(snap_spent / budget, vid)
-                if utility / ad_type.cost >= phi - _EPS:
-                    potential.append(
-                        AdInstance(
-                            customer_id=cid,
-                            vendor_id=vid,
-                            type_id=ad_type.type_id,
-                            utility=utility,
-                            cost=ad_type.cost,
-                        )
-                    )
-            if len(potential) > request.customer.capacity:
-                potential.sort(key=lambda inst: -inst.efficiency)
-                potential = potential[: request.customer.capacity]
-            self._commit(request, potential, shard, results, touched)
-
-    def _scalar_best(self, engine, target, cid: int, vid: int, budget: float):
-        """Exact scalar re-score of one dirty candidate at the current
-        committed state; returns ``(instance, used_budget_ratio)`` or
-        ``None``.  Mirrors the O-AFA loop body line for line."""
-        spent = self.assignment.spend_for_vendor(vid)
-        remaining = budget - spent
-        best = engine.best_for_pair(cid, vid, max_cost=remaining)
-        if best is MISS:
-            best = target.best_instance_for_pair(
-                cid, vid, by="efficiency", max_cost=remaining
+        gathered_inactive = len(inactive)
+        for request, vendor_ids in zip(group, gathered):
+            if len(inactive) > gathered_inactive:
+                # The sequential loop's candidate scan would have
+                # skipped (and counted) vendors deactivated since.
+                active = [vid for vid in vendor_ids if vid not in inactive]
+                target.churn.skips += len(vendor_ids) - len(active)
+                vendor_ids = active
+            picked = algorithm.decide(
+                target, request.customer, self.assignment, vendor_ids, snapshot
             )
-        if best is None or best.utility <= 0:
-            return None
-        return best, spent / budget
+            self._commit(request, picked, shard, results)
 
     # -- committing ----------------------------------------------------
     def _commit(
@@ -340,35 +285,20 @@ class BatchScorer:
         picked: Sequence[AdInstance],
         shard: Optional[int],
         results: Dict[int, Tuple[Tuple[AdInstance, ...], Optional[int]]],
-        touched: set,
     ) -> None:
-        """Idempotently commit one request's decided instances.
-
-        Same discipline as the resilient broker: a pair already holding
-        an identical instance is a suppressed duplicate, a conflicting
-        one is rejected, and fresh instances go through the
-        constraint-checked ``add``.  ``note_if_exhausted`` runs on the
-        *global* problem after each commit (budget exhaustion is a
-        global fact), exactly like the synchronous stream loop.
+        """Commit one request's decided instances through
+        :meth:`~repro.core.assignment.Assignment.commit`, counting its
+        outcomes.  ``note_if_exhausted`` runs on the *global* problem
+        after each commit (budget exhaustion is a global fact), exactly
+        like the synchronous stream loop.
         """
         rec = recorder()
         stats = self.stats
         committed: List[AdInstance] = []
         for instance in picked:
-            existing = self.assignment.instance_for_pair(
-                instance.customer_id, instance.vendor_id
-            )
-            if existing is not None:
-                if existing == instance:
-                    stats.duplicates_suppressed += 1
-                    rec.count("serve.duplicates_suppressed")
-                else:
-                    stats.rejected_instances += 1
-                    rec.count("serve.rejected_instances")
-                continue
-            if self.assignment.add(instance, strict=False):
+            outcome = self.assignment.commit(instance)
+            if outcome == COMMITTED:
                 committed.append(instance)
-                touched.add(instance.vendor_id)
                 stats.commits += 1
                 stats.utility += instance.utility
                 rec.count("serve.budget_commits")
@@ -377,6 +307,9 @@ class BatchScorer:
                 ):
                     stats.vendors_deactivated += 1
                     rec.count("serve.vendors_deactivated")
+            elif outcome == DUPLICATE:
+                stats.duplicates_suppressed += 1
+                rec.count("serve.duplicates_suppressed")
             else:
                 stats.rejected_instances += 1
                 rec.count("serve.rejected_instances")

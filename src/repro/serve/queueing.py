@@ -43,6 +43,10 @@ class RequestQueue:
         self.capacity = capacity
         self._queue: "OrderedDict[int, AdRequest]" = OrderedDict()
         self._heap: List[Tuple[float, int]] = []
+        # The queued requests that carry a deadline, in admission order:
+        # the expiry scans walk only these (none at all when no request
+        # has a deadline).
+        self._deadlined: "OrderedDict[int, AdRequest]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -77,13 +81,14 @@ class RequestQueue:
         batch: List[AdRequest] = []
         while self._queue and len(batch) < max_size:
             _, request = self._queue.popitem(last=False)
+            self._deadlined.pop(request.request_id, None)
             batch.append(request)
         return batch
 
     def drop_expired(self, now: float) -> List[AdRequest]:
         """Remove and return every queued request whose deadline has
         passed at clock reading ``now``."""
-        expired = [r for r in self._queue.values() if r.expired(now)]
+        expired = [r for r in self._deadlined.values() if r.expired(now)]
         for request in expired:
             self._remove(request.request_id)
         return expired
@@ -97,14 +102,15 @@ class RequestQueue:
 
     def next_deadline(self) -> Optional[float]:
         """The earliest queued deadline, or ``None``."""
-        deadlines = [
-            r.deadline for r in self._queue.values() if r.deadline is not None
-        ]
-        return min(deadlines) if deadlines else None
+        return min(
+            (r.deadline for r in self._deadlined.values()), default=None
+        )
 
     # -- internals ------------------------------------------------------
     def _push(self, request: AdRequest) -> None:
         self._queue[request.request_id] = request
+        if request.deadline is not None:
+            self._deadlined[request.request_id] = request
         heapq.heappush(
             self._heap, (request.estimated_utility, request.request_id)
         )
@@ -112,6 +118,7 @@ class RequestQueue:
     def _remove(self, request_id: int) -> None:
         # Heap entries become tombstones; _peek_cheapest prunes them.
         self._queue.pop(request_id, None)
+        self._deadlined.pop(request_id, None)
 
     def _peek_cheapest(self) -> Optional[AdRequest]:
         while self._heap:

@@ -11,6 +11,7 @@ ranges (radii of 0.01-0.05 in the unit square) is a small constant.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.spatial.geometry import Point, squared_distance
@@ -112,11 +113,19 @@ class GridIndex:
         cx_hi = int(math.floor((center[0] + radius) / self._cell_size))
         cy_lo = int(math.floor((center[1] - radius) / self._cell_size))
         cy_hi = int(math.floor((center[1] + radius) / self._cell_size))
-        for cx in range(cx_lo, cx_hi + 1):
-            for cy in range(cy_lo, cy_hi + 1):
-                for item_id in self._cells.get((cx, cy), ()):
-                    if squared_distance(self._points[item_id], center) <= r2:
-                        results.append(item_id)
+        cells = self._cells
+        xs, ys = range(cx_lo, cx_hi + 1), range(cy_lo, cy_hi + 1)
+        if len(xs) * len(ys) > len(cells):
+            # More cells in range than occupied (a radius far above the
+            # cell size, e.g. an empty index on the fallback cell):
+            # visit the occupied ones, in the same (cx, cy) order.
+            keys = sorted(c for c in cells if c[0] in xs and c[1] in ys)
+        else:
+            keys = product(xs, ys)
+        for key in keys:
+            for item_id in cells.get(key, ()):
+                if squared_distance(self._points[item_id], center) <= r2:
+                    results.append(item_id)
         return results
 
     def items(self) -> Iterable[Tuple[int, Point]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import OfflineAlgorithm, OnlineAlgorithm, SolveResult
-from repro.core.assignment import Assignment
+from repro.core.assignment import COMMITTED, Assignment
 from repro.core.entities import Customer
 from repro.core.problem import MUAAProblem
 from repro.obs.recorder import recorder
@@ -348,11 +348,13 @@ class OnlineSimulator:
                         rec.count("stream.deadline_drops")
                         continue  # customer went inactive; ads dropped
                 for instance in picked:
-                    if instance.customer_id not in seen:
-                        result.rejected_instances += 1
-                        rec.count("stream.rejected_instances")
-                        continue
-                    if assignment.add(instance, strict=False):
+                    # A plain stream delivers each decision once, so an
+                    # instance for a customer yet to arrive, or a
+                    # repeated pair, counts as rejected.
+                    if (
+                        instance.customer_id in seen
+                        and assignment.commit(instance) == COMMITTED
+                    ):
                         rec.count("stream.budget_commits")
                         if problem.note_if_exhausted(
                             assignment, instance.vendor_id

@@ -12,6 +12,7 @@ from repro.exceptions import InvalidProblemError
 from repro.sharding import ShardPlan
 from repro.sharding.plan import METADATA_SCHEMA_VERSION
 from tests.churn.conftest import fresh_vendor, make_problem
+from tests.conftest import within_seconds
 
 
 def _occupied_cell(problem, plan, shard):
@@ -27,6 +28,33 @@ def _occupied_cell(problem, plan, shard):
 
 
 class TestMigrateCells:
+    def test_moved_customer_routed_to_emptied_shard(self):
+        # A customer moved out of its only shard's range keeps that
+        # membership; once every vendor of the shard migrates away its
+        # resident view holds no vendors (index on the fallback cell)
+        # but still routes the customer there.
+        problem = make_problem()
+        plan = ShardPlan.build(problem, 4)
+        for shard in range(4):
+            plan.problem_for(shard)
+        cid = next(
+            c.customer_id for c in problem.customers
+            if plan.shards_of_customer(c.customer_id) == [0]
+        )
+        plan.move_customer(cid, (0.0, 1.0))
+        cells = sorted(
+            {
+                plan.cell_of(problem.vendors_by_id[vid].location)
+                for vid in plan.vendor_ids(0)
+            }
+        )
+        plan.migrate_cells(cells, src=0, dst=1)
+        customer = problem.customers_by_id[cid]
+        assert not plan.vendor_ids(0)
+        assert plan.route(customer) == 0
+        with within_seconds(5):
+            assert plan.problem_for(0).valid_vendor_ids(customer) == []
+
     def test_migration_moves_vendors_and_emits_paired_deltas(self):
         problem = make_problem()
         plan = ShardPlan.build(problem, 4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -10,6 +12,23 @@ import pytest
 from repro.core.entities import AdType, Customer, Vendor
 from repro.core.problem import MUAAProblem
 from repro.utility.model import TabularUtilityModel
+
+
+@contextmanager
+def within_seconds(seconds: float):
+    """Fail with ``TimeoutError`` if the block runs longer than
+    ``seconds`` (a hang becomes a test failure instead of a stuck run)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"block still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,26 @@ class TestRequestQueue:
         queue.offer(_request(3, value=1.0, deadline=2.0))
         assert queue.next_deadline() == 2.0
 
+    def test_deadlines_tracked_through_every_exit(self):
+        # Eviction, batch pops and expiry all leave the queue; the
+        # deadline bookkeeping must follow each of them.
+        queue = RequestQueue(2)
+        queue.offer(_request(1, value=1.0, deadline=3.0))
+        queue.offer(_request(2, value=5.0))
+        assert queue.offer(_request(3, value=9.0)).request_id == 1
+        assert queue.next_deadline() is None
+        assert queue.drop_expired(100.0) == []
+        queue.pop_batch(2)
+        queue.offer(_request(4, value=1.0, deadline=1.0))
+        queue.offer(_request(5, value=1.0, deadline=7.0))
+        assert queue.next_deadline() == 1.0
+        assert [r.request_id for r in queue.drop_expired(2.0)] == [4]
+        assert queue.next_deadline() == 7.0
+        queue.pop_batch(1)
+        assert queue.next_deadline() is None
+        queue.offer(_request(6, value=1.0, deadline=2.0))
+        assert queue.next_deadline() == 2.0
+
 
 class TestTokenBucket:
     def test_burst_exactly_at_boundary_fully_admitted(self):

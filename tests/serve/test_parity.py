@@ -13,6 +13,7 @@ import pytest
 
 from repro.algorithms.calibration import calibrate_from_problem
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
+from repro.algorithms.recalibrating import RecalibratingOnlineAFA
 from repro.engine.sharded import ShardedEngine
 from repro.serve import AdRequest, BatchScorer
 from repro.sharding import ShardPlan
@@ -162,3 +163,39 @@ def test_exhaustion_skips_match_sequential():
         scorer.finish()
     # finish() rolled automatic deactivations back: reusable problem.
     assert not problem.churn.inactive
+
+
+def _recalibrating_run(seed: int, batch_size: int = 0):
+    """Recalibrating O-AFA through the stream (``batch_size=0``) or the
+    batch scorer; returns the decisions and the recalibration count."""
+    problem = random_tabular_problem(seed=seed, n_customers=400, n_vendors=20)
+    algorithm = RecalibratingOnlineAFA(
+        recalibrate_every=20, bootstrap_customers=20
+    )
+    if batch_size == 0:
+        result = OnlineSimulator(problem).run(
+            algorithm, measure_latency=False, warm_engine=True
+        )
+        return _instance_bytes(result.assignment), algorithm.recalibrations
+    scorer = BatchScorer(problem, algorithm)
+    ordered = by_arrival_time(problem.customers)
+    try:
+        for i in range(0, len(ordered), batch_size):
+            scorer.score([
+                AdRequest(request_id=i + j + 1, customer=c, arrival_time=0.0)
+                for j, c in enumerate(ordered[i: i + batch_size])
+            ])
+    finally:
+        scorer.finish()
+    return _instance_bytes(scorer.assignment), algorithm.recalibrations
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_recalibrating_subclass_is_not_bypassed(seed, batch_size):
+    """A subclass that overrides ``process_customer`` (here: learning
+    its threshold from the stream) must see every arrival in a batch
+    too, so batched decisions equal the stream's."""
+    expected, recalibrations = _recalibrating_run(seed)
+    assert recalibrations > 0
+    assert _recalibrating_run(seed, batch_size) == (expected, recalibrations)

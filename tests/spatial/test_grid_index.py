@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.spatial.geometry import euclidean
 from repro.spatial.grid_index import GridIndex
+from tests.conftest import within_seconds
 
 
 class TestBasics:
@@ -83,6 +84,29 @@ def point_clouds(draw):
     radius = draw(st.floats(0.0, 15.0, allow_nan=False))
     cell = draw(st.floats(0.05, 5.0, allow_nan=False))
     return pts, center, radius, cell
+
+
+class TestWideQueries:
+    """Radii far above the cell size (the 1e-6 fallback cell of an
+    index built over no vendors) must cost the occupied cells, not
+    (2r / cell)^2 empty ones."""
+
+    def test_empty_index_answers_wide_query(self):
+        index = GridIndex(1e-6)
+        with within_seconds(5):
+            assert index.query_radius((0.5, 0.5), 0.03) == []
+
+    def test_sparse_fine_grid_matches_linear_scan_in_cell_order(self):
+        rng = np.random.default_rng(3)
+        points = {i: tuple(rng.random(2)) for i in range(40)}
+        index = GridIndex.build(list(points.items()), 1e-6)
+        center, radius = (0.5, 0.5), 0.3
+        with within_seconds(5):
+            got = index.query_radius(center, radius)
+        expected = [
+            i for i, p in points.items() if euclidean(p, center) <= radius
+        ]
+        assert got == sorted(expected, key=lambda i: index.cell_of(points[i]))
 
 
 class TestAgainstBruteForce:
