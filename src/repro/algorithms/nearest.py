@@ -27,7 +27,7 @@ class NearestVendor(OnlineAlgorithm):
         customer: Customer,
         assignment: Assignment,
     ) -> List[AdInstance]:
-        vendor_ids = problem.valid_vendor_ids(customer)
+        vendor_ids = problem.valid_vendor_ids(customer, assignment)
         vendor_ids.sort(
             key=lambda vid: distance(customer, problem.vendors_by_id[vid])
         )
@@ -42,7 +42,7 @@ class NearestVendor(OnlineAlgorithm):
             if cheapest.cost <= remaining + 1e-9:
                 picked.append(
                     problem.make_instance(
-                        customer.customer_id, vendor_id, cheapest.type_id
+                        customer, vendor_id, cheapest.type_id
                     )
                 )
         return picked

@@ -218,7 +218,10 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
     ) -> List[AdInstance]:
         # Line 2: valid vendors by the spatial constraint.
         return self.decide(
-            problem, customer, assignment, problem.valid_vendor_ids(customer)
+            problem,
+            customer,
+            assignment,
+            problem.valid_vendor_ids(customer, assignment),
         )
 
     def decide(
@@ -246,6 +249,10 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
         # dispatch in ``problem.best_instance_for_pair`` (the engine
         # covers every candidate edge, so its lookups never miss).
         engine = problem.engine
+        if not problem.holds(customer):
+            # Relocated mid-run: engine rows and snapshot answers were
+            # scored at the held location, so take the scalar path.
+            engine = snapshot = None
         lookup = engine.best_for_pair if engine is not None else None
         customer_id = customer.customer_id
         spend_for_vendor = assignment.spend_for_vendor
@@ -266,7 +273,7 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
                     best = lookup(customer_id, vendor_id, max_cost=remaining)
                 if best is MISS:
                     best = problem.best_instance_for_pair(
-                        customer_id,
+                        customer,
                         vendor_id,
                         by="efficiency",
                         max_cost=remaining,

@@ -53,7 +53,7 @@ class BudgetPacingOnline(OnlineAlgorithm):
         assignment: Assignment,
     ) -> List[AdInstance]:
         picked: List[AdInstance] = []
-        for vendor_id in problem.valid_vendor_ids(customer):
+        for vendor_id in problem.valid_vendor_ids(customer, assignment):
             budget = problem.budgets[vendor_id]
             spent = assignment.spend_for_vendor(vendor_id)
             remaining = budget - spent
@@ -66,7 +66,7 @@ class BudgetPacingOnline(OnlineAlgorithm):
             if pace_room < problem.min_cost - _EPS:
                 continue
             best = problem.best_instance_for_pair(
-                customer.customer_id,
+                customer,
                 vendor_id,
                 by="efficiency",
                 max_cost=min(remaining, pace_room),

@@ -100,12 +100,13 @@ class RecalibratingOnlineAFA(OnlineAdaptiveFactorAware):
         # Observe the candidate efficiencies this customer *could* have
         # generated (not just accepted ones -- acceptance-only sampling
         # would bias gamma_min upward).
-        for vendor_id in problem.valid_vendor_ids(customer):
+        vendor_ids = problem.valid_vendor_ids(customer, assignment)
+        for vendor_id in vendor_ids:
             best = problem.best_instance_for_pair(
-                customer.customer_id, vendor_id, by="efficiency"
+                customer, vendor_id, by="efficiency"
             )
             if best is not None and best.utility > 0:
                 self._observations.append(best.efficiency)
         self._customers_seen += 1
         self._maybe_recalibrate()
-        return super().process_customer(problem, customer, assignment)
+        return self.decide(problem, customer, assignment, vendor_ids)

@@ -13,8 +13,8 @@ mutations:
   agrees on the epoch number;
 * :class:`ChurnState` -- the mutable churn bookkeeping *shared* between
   a problem and its shard views (deactivated-vendor set, skip/epoch
-  counters).  Budget exhaustion is a global fact, so one shared set
-  keeps every view consistent;
+  counters), so one shared set keeps every view consistent.  Budget
+  exhaustion is run state and lives on the run's assignment instead;
 * :class:`ShardDelta` / :class:`VendorJoin` -- the per-shard payload a
   :class:`~repro.sharding.plan.ShardPlan` emits when applying an event,
   shippable to out-of-process shard workers;
@@ -51,24 +51,19 @@ class ChurnState:
     """Mutable churn bookkeeping shared by a problem and its views.
 
     Attributes:
-        inactive: Vendor ids currently deactivated (exhausted budgets or
-            explicit ``deactivate`` events).  Candidate scans filter
-            these out.
-        auto: The subset of ``inactive`` that was deactivated
-            automatically by a stream/broker run; rolled back at the end
-            of the run so the problem object is reusable.
-        skips: Number of times a candidate scan skipped an inactive
-            vendor (the satellite counter surfaced in
-            ``ResilienceStats`` and obs).
+        inactive: Vendor ids deactivated by explicit ``deactivate``
+            events.  Candidate scans filter these out (and the vendors
+            a run's assignment has exhausted).
+        skips: Number of times a candidate scan skipped an inactive or
+            exhausted vendor (surfaced in ``ResilienceStats`` and obs).
         deactivations: Number of distinct deactivations applied.
         epoch: Number of churn events processed so far (0 = cold).
     """
 
-    __slots__ = ("inactive", "auto", "skips", "deactivations", "epoch")
+    __slots__ = ("inactive", "skips", "deactivations", "epoch")
 
     def __init__(self) -> None:
         self.inactive: Set[int] = set()
-        self.auto: Set[int] = set()
         self.skips: int = 0
         self.deactivations: int = 0
         self.epoch: int = 0

@@ -60,6 +60,14 @@ class Assignment:
     Args:
         capacities: Per-customer ad limits :math:`a_i`, keyed by id.
         budgets: Per-vendor budgets :math:`B_j`, keyed by id.
+
+    Attributes:
+        min_cost: Cheapest ad price, or ``None``.  When set (a run's
+            assignment from :meth:`~repro.core.problem.MUAAProblem.
+            new_assignment`), :meth:`commit` records every vendor left
+            unable to afford it in ``exhausted``.
+        exhausted: Vendors whose remaining budget fell below
+            ``min_cost`` in this run; candidate scans skip them.
     """
 
     def __init__(
@@ -73,6 +81,8 @@ class Assignment:
         self._ads_per_customer: Dict[int, int] = {}
         self._spend_per_vendor: Dict[int, float] = {}
         self._total_utility = 0.0
+        self.min_cost: Optional[float] = None
+        self.exhausted: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Read access
@@ -182,11 +192,22 @@ class Assignment:
         commits here): ``DUPLICATE`` if the pair already holds this very
         instance (a re-delivery, not charged twice), ``REJECTED`` if it
         holds another or capacity/budget forbid it, else ``COMMITTED``.
+        A committed vendor left unable to afford ``min_cost`` joins
+        ``exhausted``; it could win no later ad, so skipping it in
+        later scans changes no decision.
         """
         existing = self._instances.get(instance.pair)
         if existing is not None:
             return DUPLICATE if existing == instance else REJECTED
-        return COMMITTED if self.add(instance, strict=False) else REJECTED
+        if not self.add(instance, strict=False):
+            return REJECTED
+        vendor_id = instance.vendor_id
+        if (
+            self.min_cost is not None
+            and self.remaining_budget(vendor_id) + 1e-9 < self.min_cost
+        ):
+            self.exhausted.add(vendor_id)
+        return COMMITTED
 
     def remove(self, customer_id: int, vendor_id: int) -> AdInstance:
         """Remove and return the instance of a pair.

@@ -16,12 +16,16 @@ candidate-edge table in vectorized passes.  Batch entry points
 (:meth:`MUAAProblem.pair_instances`,
 :meth:`MUAAProblem.best_instance_for_pair`) use it only once built, so
 purely online access patterns keep their scalar latency profile.
+
+The instance holds no run state.  A run's spend and exhausted vendors
+live on its :class:`~repro.core.assignment.Assignment`; a customer
+relocated mid-run (trajectory scenarios) is an entity the run passes
+in, scored at its own location (see :meth:`MUAAProblem.holds`).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as _entity_replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.churn import KIND_DEACTIVATE, KIND_INSERT, KIND_RETIRE, ChurnEvent, ChurnState
 from repro.core.assignment import AdInstance, Assignment
@@ -68,9 +72,8 @@ class MUAAProblem:
             serial pass.  Serial (``None``) is the default.
         churn: Optional shared :class:`~repro.churn.ChurnState`.  Shard
             views pass their parent's state so a vendor deactivated
-            anywhere (budget exhaustion is a global fact) is skipped by
-            every view's candidate scans; omitted, the problem gets a
-            private state.
+            anywhere is skipped by every view's candidate scans;
+            omitted, the problem gets a private state.
         slot_map: Optional :class:`~repro.scenario.slots.SlotMap` when
             the vendor catalogue is slot-expanded (each base vendor
             split into per-slot vendors; see ``docs/scenarios.md``).
@@ -162,18 +165,6 @@ class MUAAProblem:
         self.churn: ChurnState = churn if churn is not None else ChurnState()
         #: Slot-expansion bookkeeping (``None`` for single-slot problems).
         self.slot_map = slot_map
-        #: Customers whose location changed after construction.  Their
-        #: precomputed engine rows are stale, so point lookups fall back
-        #: to the scalar spatial path for exactly these ids; empty (the
-        #: static default) keeps every lookup on its original path.
-        self._moved: Set[int] = set()
-        #: First-seen locations of moved customers, for
-        #: :meth:`reset_moves` (run-local trajectory rollback).
-        self._original_locations: Dict[int, Tuple[float, float]] = {}
-        #: Bumped once per applied customer move.  Streaming layers
-        #: re-resolve a customer's candidate range when this advances
-        #: (the trajectory-scenario analogue of the churn epoch).
-        self.location_epoch: int = 0
         # Deferred import keeps repro.core free of a hard engine import
         # at module load; the policy is a tiny frozen descriptor.
         from repro.engine.dtypes import resolve_policy
@@ -254,11 +245,37 @@ class MUAAProblem:
         self, customer_id: int, vendor_id: int
     ) -> Optional[float]:
         """The pair base from the built engine, or ``None`` (engine not
-        built, the customer has moved since the table was scored, or
-        the pair is not a range-valid candidate)."""
-        if self._engine is None or customer_id in self._moved:
+        built, or the pair is not a range-valid candidate)."""
+        if self._engine is None:
             return None
         return self._engine.pair_base(customer_id, vendor_id)
+
+    # ------------------------------------------------------------------
+    # Relocated customers (trajectory scenarios)
+    # ------------------------------------------------------------------
+    def holds(self, customer: Customer) -> bool:
+        """Whether ``customer`` stands where this instance holds it.
+
+        The engine scored its rows at the held locations, so they serve
+        only a held entity.  An entity relocated mid-run (a trajectory
+        move the run keeps to itself) is not held: scans and Eq. 4
+        scoring take the scalar path on the entity.  O(1), no copies.
+        """
+        held = self.customers_by_id.get(customer.customer_id)
+        return held is customer or (
+            held is not None and held.location == customer.location
+        )
+
+    def _resolve(
+        self, customer: Union[int, Customer]
+    ) -> Tuple[int, Optional[Customer]]:
+        """``(customer_id, relocated entity or None)`` for a customer id
+        or an arriving entity (a held entity counts as its id)."""
+        if isinstance(customer, Customer):
+            if self.holds(customer):
+                return customer.customer_id, None
+            return customer.customer_id, customer
+        return customer, None
 
     # ------------------------------------------------------------------
     # Spatial queries (constraint 1 of Definition 5)
@@ -321,41 +338,50 @@ class MUAAProblem:
             ]
         return valid_customers(vendor, self.customer_index)
 
-    def valid_vendor_ids(self, customer: Customer) -> List[int]:
+    def valid_vendor_ids(
+        self, customer: Customer, assignment: Optional[Assignment] = None
+    ) -> List[int]:
         """Vendors whose advertising area contains ``customer``.
 
-        With a built compute engine this reads the precomputed
-        candidate-edge adjacency (same set as the spatial query, in
-        vendor catalogue order) instead of re-running the range query
-        per call.  Vendors deactivated in the shared
-        :class:`~repro.churn.ChurnState` (exhausted budgets, explicit
-        ``deactivate`` events) are filtered out, and each skip is
-        counted in ``churn.skips``.
+        With a built compute engine and a held customer (see
+        :meth:`holds`) this reads the precomputed candidate-edge
+        adjacency (same set as the spatial query, in vendor catalogue
+        order) instead of re-running the range query per call.  Vendors
+        deactivated in the shared :class:`~repro.churn.ChurnState`
+        (explicit ``deactivate`` events), and those ``assignment`` has
+        exhausted in this run, are filtered out; each skip is counted
+        in ``churn.skips``.
         """
         if (
             self._engine is not None
             and self._engine.edges_built
-            and customer.customer_id not in self._moved
+            and self.holds(customer)
         ):
             vendors = self._engine.vendors_in_range(customer.customer_id)
             if vendors is not None:
-                return self._filter_inactive(list(vendors))
+                return self._filter_inactive(list(vendors), assignment)
         if self._pair_validator is not None:
             return self._filter_inactive([
                 v.vendor_id for v in self.vendors
                 if self._pair_validator(customer, v)
-            ])
+            ], assignment)
         return self._filter_inactive(valid_vendors(
             customer, self.vendors_by_id, self.vendor_index, self.max_radius
-        ))
+        ), assignment)
 
-    def _filter_inactive(self, vendor_ids: List[int]) -> List[int]:
-        """Drop deactivated vendors from a candidate scan, counting the
-        skips (surfaced in ``ResilienceStats`` and obs)."""
+    def _filter_inactive(
+        self, vendor_ids: List[int], assignment: Optional[Assignment]
+    ) -> List[int]:
+        """Drop deactivated and exhausted vendors from a candidate scan,
+        counting the skips (surfaced in ``ResilienceStats`` and obs)."""
         inactive = self.churn.inactive
-        if not inactive:
+        exhausted = assignment.exhausted if assignment is not None else ()
+        if not inactive and not exhausted:
             return vendor_ids
-        active = [vid for vid in vendor_ids if vid not in inactive]
+        active = [
+            vid for vid in vendor_ids
+            if vid not in inactive and vid not in exhausted
+        ]
         skipped = len(vendor_ids) - len(active)
         if skipped:
             self.churn.skips += skipped
@@ -371,41 +397,55 @@ class MUAAProblem:
     # ------------------------------------------------------------------
     # Utilities and candidate enumeration
     # ------------------------------------------------------------------
-    def utility(self, customer_id: int, vendor_id: int, type_id: int) -> float:
+    # Scoring methods take a customer id, or an arriving entity (a
+    # relocated one is scored at its own location; see :meth:`holds`).
+    def utility(
+        self, customer: Union[int, Customer], vendor_id: int, type_id: int
+    ) -> float:
         """Utility :math:`\\lambda_{ijk}` by entity ids."""
-        base = self._engine_base(customer_id, vendor_id)
-        if base is not None:
-            return base * self.ad_types_by_id[type_id].effectiveness
+        customer_id, relocated = self._resolve(customer)
+        if relocated is None:
+            base = self._engine_base(customer_id, vendor_id)
+            if base is not None:
+                return base * self.ad_types_by_id[type_id].effectiveness
         return self.utility_model.utility(
-            self.customers_by_id[customer_id],
+            relocated or self.customers_by_id[customer_id],
             self.vendors_by_id[vendor_id],
             self.ad_types_by_id[type_id],
         )
 
-    def efficiency(self, customer_id: int, vendor_id: int, type_id: int) -> float:
+    def efficiency(
+        self, customer: Union[int, Customer], vendor_id: int, type_id: int
+    ) -> float:
         """Budget efficiency :math:`\\gamma_{ijk}` by entity ids."""
         ad_type = self.ad_types_by_id[type_id]
-        return self.utility(customer_id, vendor_id, type_id) / ad_type.cost
+        return self.utility(customer, vendor_id, type_id) / ad_type.cost
 
     def make_instance(
-        self, customer_id: int, vendor_id: int, type_id: int
+        self, customer: Union[int, Customer], vendor_id: int, type_id: int
     ) -> AdInstance:
         """Build an :class:`AdInstance` with its evaluated utility/cost."""
         ad_type = self.ad_types_by_id[type_id]
         return AdInstance(
-            customer_id=customer_id,
+            customer_id=self._resolve(customer)[0],
             vendor_id=vendor_id,
             type_id=type_id,
-            utility=self.utility(customer_id, vendor_id, type_id),
+            utility=self.utility(customer, vendor_id, type_id),
             cost=ad_type.cost,
         )
 
-    def pair_instances(self, customer_id: int, vendor_id: int) -> List[AdInstance]:
+    def pair_instances(
+        self, customer: Union[int, Customer], vendor_id: int
+    ) -> List[AdInstance]:
         """All ad-type choices for one valid pair, utility pre-evaluated."""
-        base = self._engine_base(customer_id, vendor_id)
-        if base is not None:
-            return self._engine.pair_instances(customer_id, vendor_id, base)
-        customer = self.customers_by_id[customer_id]
+        customer_id, relocated = self._resolve(customer)
+        if relocated is None:
+            base = self._engine_base(customer_id, vendor_id)
+            if base is not None:
+                return self._engine.pair_instances(
+                    customer_id, vendor_id, base
+                )
+        customer = relocated or self.customers_by_id[customer_id]
         vendor = self.vendors_by_id[vendor_id]
         if self.utility_model.type_sensitive:
             return [
@@ -432,7 +472,7 @@ class MUAAProblem:
 
     def best_instance_for_pair(
         self,
-        customer_id: int,
+        customer: Union[int, Customer],
         vendor_id: int,
         by: str = "efficiency",
         max_cost: Optional[float] = None,
@@ -440,7 +480,7 @@ class MUAAProblem:
         """The "best" ad type for a pair (line 4 of Algorithm 2).
 
         Args:
-            customer_id: The customer.
+            customer: The customer id, or the arriving entity.
             vendor_id: The vendor.
             by: ``"efficiency"`` ranks by :math:`\\gamma_{ijk}` (the
                 O-AFA criterion); ``"utility"`` ranks by
@@ -451,13 +491,14 @@ class MUAAProblem:
         Returns:
             The best instance, or ``None`` when no type is affordable.
         """
-        if self._engine is not None and customer_id not in self._moved:
+        customer_id, relocated = self._resolve(customer)
+        if self._engine is not None and relocated is None:
             hit = self._engine.best_for_pair(
                 customer_id, vendor_id, by=by, max_cost=max_cost
             )
             if hit is not self._engine_miss:
                 return hit
-        choices = self.pair_instances(customer_id, vendor_id)
+        choices = self.pair_instances(relocated or customer_id, vendor_id)
         if max_cost is not None:
             choices = [c for c in choices if c.cost <= max_cost + 1e-9]
         if not choices:
@@ -536,8 +577,13 @@ class MUAAProblem:
     # Assignments
     # ------------------------------------------------------------------
     def new_assignment(self) -> Assignment:
-        """A fresh assignment tracking this problem's capacities/budgets."""
-        return Assignment(capacities=self.capacities, budgets=self.budgets)
+        """A fresh assignment tracking this problem's capacities/budgets
+        and the vendors a run exhausts (below the cheapest ad price)."""
+        assignment = Assignment(
+            capacities=self.capacities, budgets=self.budgets
+        )
+        assignment.min_cost = self.min_cost
+        return assignment
 
     # ------------------------------------------------------------------
     # Churn (live vendor joins/leaves; see docs/incremental.md)
@@ -577,7 +623,6 @@ class MUAAProblem:
             return False
         self.vendors.remove(vendor)
         self.churn.inactive.discard(vendor_id)
-        self.churn.auto.discard(vendor_id)
         self._vendor_index = None
         if self._engine is not None:
             self._engine.retire_vendor(vendor_id)
@@ -602,97 +647,18 @@ class MUAAProblem:
             self._engine.admit_customers(fresh)
         return len(fresh)
 
-    def move_customer(
-        self, customer_id: int, new_location: Tuple[float, float]
-    ) -> bool:
-        """Relocate a customer mid-episode (trajectory scenarios).
-
-        The frozen entity is replaced, the customer spatial index is
-        invalidated for lazy rebuild, and the id joins the moved set so
-        every engine-backed lookup for this customer falls back to the
-        scalar spatial path -- the precomputed candidate rows were
-        scored at the old location and are stale.  Each applied move
-        bumps :attr:`location_epoch`, the signal streaming layers use
-        to re-resolve the customer's candidate range.  Unknown ids and
-        no-op moves return ``False``.
-        """
-        current = self.customers_by_id.get(customer_id)
-        if current is None:
-            return False
-        location = (float(new_location[0]), float(new_location[1]))
-        if location == tuple(current.location):
-            return False
-        moved = _entity_replace(current, location=location)
-        self._original_locations.setdefault(
-            customer_id, tuple(current.location)
-        )
-        for row, customer in enumerate(self.customers):
-            if customer.customer_id == customer_id:
-                self.customers[row] = moved
-                break
-        self.customers_by_id[customer_id] = moved
-        self._customer_index = None
-        self._moved.add(customer_id)
-        self.location_epoch += 1
-        return True
-
-    @property
-    def moved_customer_ids(self) -> frozenset:
-        """Ids of customers relocated since construction (read-only)."""
-        return frozenset(self._moved)
-
-    def reset_moves(self) -> int:
-        """Roll back every customer move, returning how many customers
-        were restored.
-
-        The trajectory analogue of :meth:`reset_auto_deactivations`:
-        a move schedule is run-local (applied mid-stream against one
-        assignment), so the stream restores first-seen locations at the
-        end of the run to keep the problem object reusable -- the next
-        panel member sees the same workload.  Clearing the moved set
-        also puts the restored customers back on the engine path (their
-        precomputed rows were scored at exactly these locations).
-        """
-        count = len(self._original_locations)
-        if not count:
-            return 0
-        for customer_id, location in self._original_locations.items():
-            current = self.customers_by_id.get(customer_id)
-            if current is None:
-                continue
-            restored = _entity_replace(current, location=location)
-            for row, customer in enumerate(self.customers):
-                if customer.customer_id == customer_id:
-                    self.customers[row] = restored
-                    break
-            self.customers_by_id[customer_id] = restored
-        self._original_locations.clear()
-        self._moved.clear()
-        self._customer_index = None
-        return count
-
-    def deactivate_vendors(
-        self, vendor_ids: Sequence[int], auto: bool = False
-    ) -> int:
-        """Mark vendors inactive so candidate scans skip them.
-
-        Explicit deactivations (``auto=False``, e.g. a ``deactivate``
-        churn event) also splice the vendors' candidate segments out of
-        a built engine.  Automatic ones (budget exhaustion detected
-        mid-run) stay set-only -- cheap, and rolled back by
-        :meth:`reset_auto_deactivations` so the problem object is
-        reusable across runs.  Returns the number newly deactivated.
+    def deactivate_vendors(self, vendor_ids: Sequence[int]) -> int:
+        """Mark vendors inactive so candidate scans skip them (a
+        ``deactivate`` churn event), splicing their candidate segments
+        out of a built engine.  Returns the number newly deactivated.
         """
         fresh = [
             vid for vid in vendor_ids
             if vid in self.vendors_by_id and vid not in self.churn.inactive
         ]
-        for vid in fresh:
-            self.churn.inactive.add(vid)
-            if auto:
-                self.churn.auto.add(vid)
+        self.churn.inactive.update(fresh)
         self.churn.deactivations += len(fresh)
-        if fresh and not auto and self._engine is not None:
+        if fresh and self._engine is not None:
             self._engine.deactivate_exhausted(fresh)
         return len(fresh)
 
@@ -702,46 +668,9 @@ class MUAAProblem:
         for vid in vendor_ids:
             if vid in self.churn.inactive:
                 self.churn.inactive.discard(vid)
-                self.churn.auto.discard(vid)
                 count += 1
                 if self._engine is not None:
                     self._engine.restore_vendor(vid)
-        return count
-
-    def note_if_exhausted(self, assignment: Assignment, vendor_id: int) -> bool:
-        """Auto-deactivate a vendor whose remaining budget can no
-        longer afford the cheapest ad type.
-
-        Called by the stream/broker loops after each commit.  Such a
-        vendor always yields ``best=None`` on every later scan, so
-        skipping it is provably decision-neutral -- the skip only saves
-        the scoring work.  Returns whether the vendor was deactivated.
-        """
-        if (
-            vendor_id in self.churn.inactive
-            or vendor_id not in self.vendors_by_id
-        ):
-            return False
-        try:
-            remaining = assignment.remaining_budget(vendor_id)
-        except KeyError:
-            return False
-        if remaining + 1e-9 >= self.min_cost:
-            return False
-        self.churn.inactive.add(vendor_id)
-        self.churn.auto.add(vendor_id)
-        self.churn.deactivations += 1
-        return True
-
-    def reset_auto_deactivations(self) -> int:
-        """Roll back every automatic (budget-exhaustion) deactivation,
-        returning how many were active.  Run at the end of a stream or
-        broker episode so the problem object stays reusable."""
-        auto = self.churn.auto
-        count = len(auto)
-        if count:
-            self.churn.inactive.difference_update(auto)
-            auto.clear()
         return count
 
     def apply_churn(self, event: ChurnEvent) -> int:

@@ -66,9 +66,9 @@ def build_panel(
             ``problem``, overriding ``shards``.
         moves: Optional :class:`~repro.scenario.trajectory.MoveSchedule`
             forwarded to the streaming members (NEAREST, ONLINE); the
-            offline members solve the static snapshot.  Each streaming
-            run rolls the moves back on exit, so every member streams
-            the same trajectory.
+            offline members solve the static snapshot.  Moves are run
+            state that never reaches the problem, so every member
+            streams the same trajectory.
 
     Raises:
         ValueError: On an unknown algorithm name.
@@ -178,8 +178,8 @@ def run_panel(
     the parent, exactly as in the serial path.  Only the shard *count*
     crosses the process boundary (plans hold problem views and are
     rebuilt per worker), so an explicit ``shard_plan`` keeps the run
-    serial -- as does a ``moves`` schedule, whose mid-stream mutations
-    and rollback must happen in one process.
+    serial -- as does a ``moves`` schedule, which is not shipped to
+    the workers.
     """
     sharded = shard_plan is not None or shards > 1
     if not sharded:

@@ -100,7 +100,7 @@ def fig10_trajectory(
     point streams the *same* instance under a seeded random-walk move
     schedule.  Only streaming algorithms see moves -- offline members
     would solve the static snapshot -- so the default panel is the
-    streaming subset.  Moves roll back between members, so every member
+    streaming subset.  Moves never reach the instance, so every member
     streams the identical trajectory.
     """
     config = _base_config(scale, seed)

@@ -134,10 +134,12 @@ class GuardedProblem(MUAAProblem):
         self._injector = injector
         self._spatial_guard = spatial_guard
 
-    def valid_vendor_ids(self, customer: Customer) -> List[int]:
+    def valid_vendor_ids(
+        self, customer: Customer, assignment: Optional[Assignment] = None
+    ) -> List[int]:
         def attempt() -> List[int]:
             self._injector.before_call("spatial")
-            return MUAAProblem.valid_vendor_ids(self, customer)
+            return MUAAProblem.valid_vendor_ids(self, customer, assignment)
 
         if self._spatial_guard is None:
             return attempt()
@@ -318,130 +320,121 @@ class ResilientBroker:
         stats.arrivals_reordered = reordered
 
         assignment = problem.new_assignment()
+        if churn is None:
+            # Skipping exhausted vendors is part of churn-aware serving.
+            # A plain run scans every in-range vendor: the fault draws
+            # follow the guarded calls, so this assignment tracks no
+            # exhaustion.
+            assignment.min_cost = None
         result = StreamResult(assignment=assignment, resilience=stats)
         seen = set()
         rec = recorder()
         guards = (utility_guard, spatial_guard)
         base_skips = problem.churn.skips
-        try:
-            for tick, customer in enumerate(arrivals):
-                if churn is not None:
-                    applied = 0
-                    for event in churn.at(tick):
-                        if self._shard_plan is not None:
-                            self._shard_plan.apply_churn(event)
-                        else:
-                            problem.apply_churn(event)
-                        applied += 1
-                        rec.count("broker.churn_events")
-                        rec.event(
-                            "broker.churn",
-                            kind=event.kind,
-                            epoch=problem.churn.epoch,
+        for tick, customer in enumerate(arrivals):
+            if churn is not None:
+                applied = 0
+                for event in churn.at(tick):
+                    if self._shard_plan is not None:
+                        self._shard_plan.apply_churn(event)
+                    else:
+                        problem.apply_churn(event)
+                    applied += 1
+                    rec.count("broker.churn_events")
+                    rec.event(
+                        "broker.churn",
+                        kind=event.kind,
+                        epoch=problem.churn.epoch,
+                    )
+                if applied:
+                    # Guarded views copy the entity catalogue, so a
+                    # structural change rebuilds them (scalar views,
+                    # no engine -- cheap by construction).
+                    guarded_problem = GuardedProblem(
+                        problem, guarded_model, injector, spatial_guard
+                    )
+                    shard_guarded.clear()
+            seen.add(customer.customer_id)
+            faults_before = injector.total_faults
+            retries_before = sum(g.retries for g in guards)
+            target = guarded_problem
+            span_attrs = {"customer": customer.customer_id}
+            if churn is not None:
+                span_attrs["epoch"] = problem.churn.epoch
+            if shard_plan is not None:
+                shard = shard_plan.route(customer)
+                if shard is not None:
+                    target = shard_guarded.get(shard)
+                    if target is None:
+                        target = GuardedProblem(
+                            shard_plan.problem_for(shard),
+                            guarded_model,
+                            injector,
+                            spatial_guard,
                         )
-                    if applied:
-                        # Guarded views copy the entity catalogue, so a
-                        # structural change rebuilds them (scalar views,
-                        # no engine -- cheap by construction).
-                        guarded_problem = GuardedProblem(
-                            problem, guarded_model, injector, spatial_guard
-                        )
-                        shard_guarded.clear()
-                seen.add(customer.customer_id)
-                faults_before = injector.total_faults
-                retries_before = sum(g.retries for g in guards)
-                target = guarded_problem
-                span_attrs = {"customer": customer.customer_id}
-                if churn is not None:
-                    span_attrs["epoch"] = problem.churn.epoch
-                if shard_plan is not None:
-                    shard = shard_plan.route(customer)
-                    if shard is not None:
-                        target = shard_guarded.get(shard)
-                        if target is None:
-                            target = GuardedProblem(
-                                shard_plan.problem_for(shard),
-                                guarded_model,
-                                injector,
-                                spatial_guard,
-                            )
-                            shard_guarded[shard] = target
-                        span_attrs["shard"] = shard
-                        rec.count("broker.shard_decisions")
-                start = clock()
-                tier: Optional[int] = None
-                with rec.span("broker.decision", **span_attrs):
-                    try:
-                        picked = chain.process_customer(
-                            target, customer, assignment
-                        )
-                        tier = chain.last_tier_used
-                    except ResilienceError as exc:
-                        stats.decisions_abandoned += 1
-                        picked = []
-                        rec.count("broker.decisions_abandoned")
-                        logger.warning(
-                            "every tier failed for customer %d (%s); "
-                            "decision abandoned",
-                            customer.customer_id,
-                            exc,
-                        )
-                elapsed = clock() - start
-                result.latencies.append(elapsed)
-                rec.observe("broker.decision_seconds", elapsed)
-                if tier is not None and tier > 0:
-                    rec.count("broker.degraded_decisions")
-                degraded = (
-                    tier is None
-                    or tier > 0
-                    or injector.total_faults > faults_before
-                    or sum(g.retries for g in guards) > retries_before
-                )
-                (stats.degraded_latencies if degraded
-                 else stats.clean_latencies).append(elapsed)
-                if (
-                    self._decision_deadline is not None
-                    and elapsed > self._decision_deadline
-                ):
-                    result.customers_lost += 1
-                    rec.count("broker.deadline_drops")
-                    logger.info(
-                        "customer %d lost: decision took %.4fs "
-                        "(deadline %.4fs)",
+                        shard_guarded[shard] = target
+                    span_attrs["shard"] = shard
+                    rec.count("broker.shard_decisions")
+            start = clock()
+            tier: Optional[int] = None
+            with rec.span("broker.decision", **span_attrs):
+                try:
+                    picked = chain.process_customer(
+                        target, customer, assignment
+                    )
+                    tier = chain.last_tier_used
+                except ResilienceError as exc:
+                    stats.decisions_abandoned += 1
+                    picked = []
+                    rec.count("broker.decisions_abandoned")
+                    logger.warning(
+                        "every tier failed for customer %d (%s); "
+                        "decision abandoned",
                         customer.customer_id,
-                        elapsed,
-                        self._decision_deadline,
+                        exc,
                     )
+            elapsed = clock() - start
+            result.latencies.append(elapsed)
+            rec.observe("broker.decision_seconds", elapsed)
+            if tier is not None and tier > 0:
+                rec.count("broker.degraded_decisions")
+            degraded = (
+                tier is None
+                or tier > 0
+                or injector.total_faults > faults_before
+                or sum(g.retries for g in guards) > retries_before
+            )
+            (stats.degraded_latencies if degraded
+             else stats.clean_latencies).append(elapsed)
+            if (
+                self._decision_deadline is not None
+                and elapsed > self._decision_deadline
+            ):
+                result.customers_lost += 1
+                rec.count("broker.deadline_drops")
+                logger.info(
+                    "customer %d lost: decision took %.4fs "
+                    "(deadline %.4fs)",
+                    customer.customer_id,
+                    elapsed,
+                    self._decision_deadline,
+                )
+                continue
+            for instance in picked:
+                if instance.customer_id not in seen:
+                    result.rejected_instances += 1
                     continue
-                for instance in picked:
-                    if instance.customer_id not in seen:
-                        result.rejected_instances += 1
-                        continue
-                    outcome = self._commit(
-                        instance, assignment, injector, stats, jitter_rng
-                    )
-                    if outcome == REJECTED:
-                        result.rejected_instances += 1
-                    elif outcome == _FAILED:
-                        stats.deliveries_failed += 1
-                    # Auto-deactivation of exhausted vendors is part of
-                    # churn-aware serving: on plain runs the fallback
-                    # ladder must see the same candidate sets (and make
-                    # the same guarded calls) as the seed broker.
-                    if (
-                        churn is not None
-                        and outcome != REJECTED
-                        and problem.note_if_exhausted(
-                            assignment, instance.vendor_id
-                        )
-                    ):
-                        stats.vendors_deactivated += 1
-                        rec.count("broker.vendors_deactivated")
-        finally:
-            # Auto-deactivations are run-local; roll them back so the
-            # pristine problem stays reusable across broker runs.
-            problem.reset_auto_deactivations()
-
+                exhausted = len(assignment.exhausted)
+                outcome = self._commit(
+                    instance, assignment, injector, stats, jitter_rng
+                )
+                if outcome == REJECTED:
+                    result.rejected_instances += 1
+                elif outcome == _FAILED:
+                    stats.deliveries_failed += 1
+                if len(assignment.exhausted) > exhausted:
+                    stats.vendors_deactivated += 1
+                    rec.count("broker.vendors_deactivated")
         stats.churn_epoch = problem.churn.epoch
         stats.exhausted_skips = problem.churn.skips - base_skips
         result.churn_epoch = stats.churn_epoch

@@ -3,10 +3,13 @@
 AdCell (Alaei et al., arXiv:1112.5396) motivates customers whose cell
 evolves over the episode.  A :class:`MoveSchedule` keys
 :class:`CustomerMove` events by arrival tick -- the exact shape of
-:class:`~repro.churn.ChurnSchedule` -- and the streaming layers apply
-them through :meth:`~repro.core.problem.MUAAProblem.move_customer`,
-which bumps the problem's ``location_epoch`` so candidate ranges are
-re-resolved through the scalar spatial path for exactly the moved ids.
+:class:`~repro.churn.ChurnSchedule`.  A move is run state: the
+streaming layers keep each relocated customer's current entity for the
+run (:meth:`MoveSchedule.relocate`) and pass it to routing, candidate
+scans and scoring, which take the scalar path for an entity away from
+the location the instance holds
+(:meth:`~repro.core.problem.MUAAProblem.holds`).  The problem and the
+shard plan are never touched, so they stay reusable across runs.
 
 Moves are drawn from the dedicated ``"moves"`` seed stream
 (:func:`repro.seeding.stream_rng`), so enabling trajectories never
@@ -15,9 +18,10 @@ shifts churn or chaos draws sharing the user seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Mapping, Tuple
 
+from repro.core.entities import Customer
 from repro.core.problem import MUAAProblem
 from repro.seeding import stream_rng
 
@@ -57,6 +61,32 @@ class MoveSchedule:
     def at(self, tick: int) -> Tuple[CustomerMove, ...]:
         """Moves scheduled to fire at one arrival index."""
         return tuple(self._by_tick.get(tick, ()))
+
+    def relocate(
+        self,
+        tick: int,
+        relocated: Dict[int, Customer],
+        customers_by_id: Mapping[int, Customer],
+    ) -> List[int]:
+        """Apply the moves due at ``tick`` to one run's entities.
+
+        ``relocated`` maps customer id to the customer's current entity
+        in this run; a customer's first move starts from
+        ``customers_by_id``.  Unknown ids and moves to the current
+        location are skipped.  Returns the ids actually moved.
+        """
+        moved: List[int] = []
+        for move in self._by_tick.get(tick, ()):
+            cid = move.customer_id
+            current = relocated.get(cid) or customers_by_id.get(cid)
+            if current is None:
+                continue
+            location = (float(move.location[0]), float(move.location[1]))
+            if location == tuple(current.location):
+                continue
+            relocated[cid] = replace(current, location=location)
+            moved.append(cid)
+        return moved
 
     @property
     def moves(self) -> Tuple[CustomerMove, ...]:
@@ -123,7 +153,7 @@ class TrajectoryScenario(Scenario):
     name = "trajectory"
     description = (
         "Customers relocate mid-stream along seeded random walks; "
-        "candidate ranges re-resolve when the location epoch advances."
+        "a relocated customer is scored at its current location."
     )
 
     def __init__(self, move_fraction: float = 0.25, step: float = 0.1) -> None:

@@ -27,8 +27,13 @@ same arrivals in the same order:
 * The decide phase walks requests in arrival order.  A snapshot answer
   stands only while its vendor's spend is unchanged, so a vendor
   *dirtied* by an earlier in-batch commit is re-scored by the decide
-  step at the current state, and one auto-deactivated since the gather
-  is skipped -- precisely what the sequential loop would have seen.
+  step at the current state, and one the assignment has exhausted since
+  the gather is skipped -- precisely what the sequential loop would
+  have seen.
+* A relocated customer (trajectory scenarios) is not held by the
+  engine's rows, so it gets no snapshot answer and no engine lookup:
+  the decide step scores it on the scalar path at its current
+  location, as the sequential loop does.
 * Vendors are partitioned across shards, so shard groups touch
   disjoint budgets and their relative order cannot change any
   decision.
@@ -231,8 +236,12 @@ class BatchScorer:
         flat_remaining: List[float] = []
         gathered: List[List[int]] = []
         for request in group:
-            cid = request.customer.customer_id
-            vendor_ids = target.valid_vendor_ids(request.customer)
+            customer = request.customer
+            cid = customer.customer_id
+            vendor_ids = target.valid_vendor_ids(customer, self.assignment)
+            gathered.append(vendor_ids)
+            if not target.holds(customer):
+                continue  # relocated: scored at its location in decide
             for vid in vendor_ids:
                 pos = engine.edge_position(cid, vid)
                 if pos is not None:
@@ -240,7 +249,6 @@ class BatchScorer:
                     pairs.append((cid, vid, spent))
                     flat_positions.append(pos)
                     flat_remaining.append(budgets[vid] - spent)
-            gathered.append(vendor_ids)
         snapshot = {}
         if flat_positions:
             with recorder().span(
@@ -264,13 +272,13 @@ class BatchScorer:
         # commit changes its vendor's spend, which voids that vendor's
         # snapshot answers: the decide step re-scores it at the current
         # state, exactly as the sequential loop would.
-        inactive = target.churn.inactive
-        gathered_inactive = len(inactive)
+        exhausted = self.assignment.exhausted
+        gathered_exhausted = len(exhausted)
         for request, vendor_ids in zip(group, gathered):
-            if len(inactive) > gathered_inactive:
+            if len(exhausted) > gathered_exhausted:
                 # The sequential loop's candidate scan would have
-                # skipped (and counted) vendors deactivated since.
-                active = [vid for vid in vendor_ids if vid not in inactive]
+                # skipped (and counted) vendors exhausted since.
+                active = [vid for vid in vendor_ids if vid not in exhausted]
                 target.churn.skips += len(vendor_ids) - len(active)
                 vendor_ids = active
             picked = algorithm.decide(
@@ -288,9 +296,8 @@ class BatchScorer:
     ) -> None:
         """Commit one request's decided instances through
         :meth:`~repro.core.assignment.Assignment.commit`, counting its
-        outcomes.  ``note_if_exhausted`` runs on the *global* problem
-        after each commit (budget exhaustion is a global fact), exactly
-        like the synchronous stream loop.
+        outcomes (a vendor the commit exhausts counts as deactivated,
+        exactly like the synchronous stream loop).
         """
         rec = recorder()
         stats = self.stats
@@ -302,9 +309,7 @@ class BatchScorer:
                 stats.commits += 1
                 stats.utility += instance.utility
                 rec.count("serve.budget_commits")
-                if self._problem.note_if_exhausted(
-                    self.assignment, instance.vendor_id
-                ):
+                if instance.vendor_id in self.assignment.exhausted:
                     stats.vendors_deactivated += 1
                     rec.count("serve.vendors_deactivated")
             elif outcome == DUPLICATE:
@@ -315,9 +320,3 @@ class BatchScorer:
                 rec.count("serve.rejected_instances")
         stats.served += 1
         results[request.request_id] = (tuple(committed), shard)
-
-    def finish(self) -> None:
-        """End-of-episode cleanup: roll back automatic deactivations so
-        the problem object stays reusable (the synchronous stream does
-        the same in its ``finally``)."""
-        self._problem.reset_auto_deactivations()

@@ -126,7 +126,6 @@ class ReplayDriver:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self._problem = problem
-        self._shard_plan = shard_plan
         #: Optional trajectory move schedule, keyed by submission index
         #: (the serve-side analogue of the stream's arrival tick).
         self._moves = moves
@@ -166,52 +165,44 @@ class ReplayDriver:
         queue = self.controller.queue
         clock = self.clock
         index = 0
-        try:
-            while True:
-                now = clock.now()
-                for request in queue.drop_expired(now):
-                    self._drop(request, EXPIRED)
-                if self.batcher.due(queue, now):
+        #: Customer id -> this episode's entity of a relocated customer.
+        relocated: Dict[int, Customer] = {}
+        while True:
+            now = clock.now()
+            for request in queue.drop_expired(now):
+                self._drop(request, EXPIRED)
+            if self.batcher.due(queue, now):
+                self._flush(now)
+                continue
+            targets = []
+            if index < len(schedule):
+                targets.append(schedule[index].time)
+            next_flush = self.batcher.next_flush(queue)
+            if next_flush is not None:
+                targets.append(next_flush)
+            next_deadline = queue.next_deadline()
+            if next_deadline is not None:
+                targets.append(next_deadline + _DEADLINE_STEP)
+            if not targets:
+                if len(queue):
                     self._flush(now)
                     continue
-                targets = []
-                if index < len(schedule):
-                    targets.append(schedule[index].time)
-                next_flush = self.batcher.next_flush(queue)
-                if next_flush is not None:
-                    targets.append(next_flush)
-                next_deadline = queue.next_deadline()
-                if next_deadline is not None:
-                    targets.append(next_deadline + _DEADLINE_STEP)
-                if not targets:
-                    if len(queue):
-                        self._flush(now)
-                        continue
-                    break
-                target = min(targets)
-                if target > now:
-                    clock.advance(target - now)
-                now = clock.now()
-                while index < len(schedule) and schedule[index].time <= now:
-                    customer = schedule[index].customer
-                    if self._moves is not None:
-                        self._apply_moves(self._moves.at(index))
-                        # A move at this index may have relocated the
-                        # arriving customer; score the fresh entity.
-                        customer = self._problem.customers_by_id.get(
-                            customer.customer_id, customer
-                        )
-                    self._submit(customer)
-                    index += 1
-        finally:
-            self.scorer.finish()
-            # Moves are episode-local: restore first-seen locations so
-            # the problem (and plan membership) stays reusable.
-            if self._moves is not None:
-                if self._shard_plan is not None:
-                    self._shard_plan.reset_moves()
-                else:
-                    self._problem.reset_moves()
+                break
+            target = min(targets)
+            if target > now:
+                clock.advance(target - now)
+            now = clock.now()
+            while index < len(schedule) and schedule[index].time <= now:
+                customer = schedule[index].customer
+                if self._moves is not None:
+                    moved = self._moves.relocate(
+                        index, relocated, self._problem.customers_by_id
+                    )
+                    if moved:
+                        recorder().count("serve.customer_moves", len(moved))
+                    customer = relocated.get(customer.customer_id, customer)
+                self._submit(customer)
+                index += 1
         decisions = [
             self._decisions[rid] for rid in sorted(self._decisions)
         ]
@@ -227,24 +218,6 @@ class ReplayDriver:
         )
 
     # -- internals ------------------------------------------------------
-    def _apply_moves(self, due) -> None:
-        """Apply trajectory moves due at one submission index (through
-        the plan when one is active, so membership stays in sync)."""
-        if not due:
-            return
-        rec = recorder()
-        for move in due:
-            if self._shard_plan is not None:
-                applied = self._shard_plan.move_customer(
-                    move.customer_id, move.location
-                )
-            else:
-                applied = self._problem.move_customer(
-                    move.customer_id, move.location
-                )
-            if applied:
-                rec.count("serve.customer_moves")
-
     def _submit(self, customer: Customer) -> None:
         rec = recorder()
         now = self.clock.now()

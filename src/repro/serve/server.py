@@ -162,7 +162,6 @@ class AdServer:
                 len(self.controller.queue)
             ):
                 self._resolve_dropped(request, CANCELLED)
-        self.scorer.finish()
 
     # -- request path ---------------------------------------------------
     async def submit(

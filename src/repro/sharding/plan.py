@@ -119,9 +119,6 @@ class ShardPlan:
         #: Per-shard structural version, bumped whenever churn changes
         #: the shard's vendor/customer sets (consumed by caching layers).
         self.shard_versions: List[int] = [0] * len(self._shard_vendor_ids)
-        #: ``(shard, customer_id)`` memberships added by customer moves,
-        #: rolled back by :meth:`reset_moves`.
-        self._move_additions: List[Tuple[int, int]] = []
         self._churn_log = ChurnLog(base=churn_epoch)
         self._finalize()
 
@@ -436,10 +433,21 @@ class ShardPlan:
         the customer's cell (for customers outside every vendor's
         range the spatial prior is still the best guess); else ``None``
         (serve from the full problem).
+
+        A relocated entity (trajectory scenarios: its id is held at
+        another location) routes as a customer first seen at its
+        current location would: its members are the shards whose
+        vendors cover that location.  The plan itself never changes.
         """
         if self._identity:
             return 0
-        members = self._shards_of_customer.get(customer.customer_id)
+        problem, customer_id = self._problem, customer.customer_id
+        if problem.holds(customer) or (
+            customer_id not in problem.customers_by_id
+        ):
+            members = self._shards_of_customer.get(customer_id)
+        else:
+            members = self._covering_shards(customer)
         cell_owner = self._cell_owner.get(
             self._cell_index(customer.location)
         )
@@ -449,108 +457,30 @@ class ShardPlan:
             return members[0]
         return cell_owner
 
-    def move_customer(
-        self, customer_id: int, new_location: Tuple[float, float]
-    ) -> bool:
-        """Relocate a customer through the plan (trajectory scenarios).
-
-        The move is applied to the full problem and to every resident
-        member view, then membership is extended *additively*: shards
-        whose vendors now cover the new location admit a replica
-        through the same delta path a cell migration uses
-        (:meth:`MUAAProblem.admit_customers`).  Old memberships are
-        kept -- replication is the sharding model, and a stale replica
-        is harmless because range queries consult the updated entity.
-        Touched shards get a structural version bump so caching layers
-        re-resolve the customer's candidate range.
-        """
+    def _covering_shards(self, customer: Customer) -> List[int]:
+        """Shards with a vendor whose range contains ``customer``'s
+        location, ascending (inactive vendors count, as in membership)."""
         problem = self._problem
-        if not problem.move_customer(customer_id, new_location):
-            return False
-        if self._identity:
-            return True
-        moved = problem.customers_by_id[customer_id]
-        members = self._shards_of_customer.setdefault(customer_id, [])
-        for shard in members:
-            view = self._views.get(shard)
-            if view is not None:
-                view.move_customer(customer_id, moved.location)
         if problem.pair_validator is not None:
             in_range = [
                 v.vendor_id
                 for v in problem.vendors
-                if problem.pair_validator(moved, v)
+                if problem.pair_validator(customer, v)
             ]
         else:
             in_range = valid_vendors(
-                moved,
+                customer,
                 problem.vendors_by_id,
                 problem.vendor_index,
                 problem.max_radius,
             )
-        touched = set(members)
-        crow = self._customer_rows
-        covering = sorted(
+        return sorted(
             {
                 self.shard_of_vendor[vid]
                 for vid in in_range
                 if vid in self.shard_of_vendor
             }
         )
-        for shard in covering:
-            if shard in members:
-                continue
-            member_ids = self._shard_customer_ids[shard]
-            pos = bisect_left(
-                [crow[cid] for cid in member_ids], crow[customer_id]
-            )
-            member_ids.insert(pos, customer_id)
-            insort(members, shard)
-            self._refs[shard][customer_id] = sum(
-                1
-                for vid in in_range
-                if self.shard_of_vendor.get(vid) == shard
-            )
-            view = self._views.get(shard)
-            if view is not None:
-                view.admit_customers([moved])
-            self._move_additions.append((shard, customer_id))
-            touched.add(shard)
-        for shard in sorted(touched):
-            self.shard_versions[shard] += 1
-        return True
-
-    def reset_moves(self) -> int:
-        """Roll back run-local customer moves through the plan.
-
-        Restores the full problem and every resident view
-        (:meth:`MUAAProblem.reset_moves`), and removes the memberships
-        customer moves added, so the next run over this plan routes
-        exactly as the first one did.  Returns the number of customers
-        restored in the full problem.
-        """
-        count = self._problem.reset_moves()
-        for view in self._views.values():
-            view.reset_moves()
-        if not self._move_additions:
-            return count
-        touched = set()
-        for shard, customer_id in self._move_additions:
-            self._refs[shard].pop(customer_id, None)
-            try:
-                self._shard_customer_ids[shard].remove(customer_id)
-            except ValueError:
-                pass
-            shards = self._shards_of_customer.get(customer_id)
-            if shards is not None and shard in shards:
-                shards.remove(shard)
-                if not shards:
-                    del self._shards_of_customer[customer_id]
-            touched.add(shard)
-        self._move_additions.clear()
-        for shard in sorted(touched):
-            self.shard_versions[shard] += 1
-        return count
 
     # ------------------------------------------------------------------
     # Live churn (incremental membership; see docs/incremental.md)

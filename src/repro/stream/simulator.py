@@ -265,12 +265,10 @@ class OnlineSimulator:
                 reference the delta path is tested against.
             moves: Optional :class:`~repro.scenario.trajectory.
                 MoveSchedule` (trajectory scenarios).  Moves scheduled
-                at arrival index ``t`` are applied (through the plan
-                when one is active, else directly on the problem)
-                *before* customer ``t`` is decided, advancing the
-                problem's location epoch so the moved customers'
-                candidate ranges are re-resolved; the arriving entity
-                is refreshed so routing sees the new location.
+                at arrival index ``t`` relocate this run's entity of
+                the customer *before* customer ``t`` is decided; a
+                relocated customer is routed, scanned and scored at its
+                current location.  The problem and plan are untouched.
         """
         problem = self._problem
         plan = shard_plan
@@ -289,6 +287,8 @@ class OnlineSimulator:
         assignment = problem.new_assignment()
         result = StreamResult(assignment=assignment)
         algorithm.reset(problem)
+        #: Customer id -> this run's entity of a relocated customer.
+        relocated: Dict[int, Customer] = {}
 
         # Decisions may be deferred (micro-batching), so an instance is
         # admissible for any customer that has *already arrived* -- but
@@ -298,116 +298,76 @@ class OnlineSimulator:
         rec = recorder()
         timed = measure_latency or decision_deadline is not None
         base_skips = problem.churn.skips
-        try:
-            for tick, customer in enumerate(arrivals):
-                if churn is not None:
-                    # Events flow through the plan even when it is the
-                    # identity one, so its churn log/epoch stay correct
-                    # for cluster replay.
-                    self._apply_churn(
-                        churn.at(tick),
-                        shard_plan,
-                        plan,
-                        churn_cold_rebuild,
-                        warm_engine,
-                    )
-                if moves is not None:
-                    self._apply_moves(moves.at(tick), shard_plan)
-                    # The arriving entity may have been relocated by a
-                    # move at this very tick; route by the fresh one.
-                    customer = problem.customers_by_id.get(
-                        customer.customer_id, customer
-                    )
-                seen.add(customer.customer_id)
-                target = problem
-                span_attrs = {"customer": customer.customer_id}
-                if churn is not None:
-                    span_attrs["epoch"] = problem.churn.epoch
-                if plan is not None:
-                    shard = plan.route(customer)
-                    if shard is not None:
-                        target = plan.problem_for(shard)
-                        span_attrs["shard"] = shard
-                        rec.count("stream.shard_decisions")
-                if timed:
-                    start = self._clock()
-                with rec.span("stream.decision", **span_attrs):
-                    picked = algorithm.process_customer(
-                        target, customer, assignment
-                    )
-                if timed:
-                    elapsed = self._clock() - start
-                    rec.observe("stream.decision_seconds", elapsed)
-                    if measure_latency:
-                        result.latencies.append(elapsed)
-                    if (
-                        decision_deadline is not None
-                        and elapsed > decision_deadline
-                    ):
-                        result.customers_lost += 1
-                        rec.count("stream.deadline_drops")
-                        continue  # customer went inactive; ads dropped
-                for instance in picked:
-                    # A plain stream delivers each decision once, so an
-                    # instance for a customer yet to arrive, or a
-                    # repeated pair, counts as rejected.
-                    if (
-                        instance.customer_id in seen
-                        and assignment.commit(instance) == COMMITTED
-                    ):
-                        rec.count("stream.budget_commits")
-                        if problem.note_if_exhausted(
-                            assignment, instance.vendor_id
-                        ):
-                            result.vendors_deactivated += 1
-                            rec.count("stream.vendors_deactivated")
-                    else:
-                        result.rejected_instances += 1
-                        rec.count("stream.rejected_instances")
-        finally:
-            # Auto-deactivations are run-local (the assignment dies with
-            # the run); roll them back so the problem stays reusable.
-            problem.reset_auto_deactivations()
-            # Customer moves are likewise run-local: restore first-seen
-            # locations so every panel member streams the same workload.
+        for tick, customer in enumerate(arrivals):
+            if churn is not None:
+                # Events flow through the plan even when it is the
+                # identity one, so its churn log/epoch stay correct for
+                # cluster replay.
+                self._apply_churn(
+                    churn.at(tick),
+                    shard_plan,
+                    plan,
+                    churn_cold_rebuild,
+                    warm_engine,
+                )
             if moves is not None:
-                if shard_plan is not None:
-                    shard_plan.reset_moves()
+                for moved in moves.relocate(
+                    tick, relocated, problem.customers_by_id
+                ):
+                    rec.count("stream.customer_moves")
+                    rec.event("stream.move", customer=moved)
+                customer = relocated.get(customer.customer_id, customer)
+            seen.add(customer.customer_id)
+            target = problem
+            span_attrs = {"customer": customer.customer_id}
+            if churn is not None:
+                span_attrs["epoch"] = problem.churn.epoch
+            if plan is not None:
+                shard = plan.route(customer)
+                if shard is not None:
+                    target = plan.problem_for(shard)
+                    span_attrs["shard"] = shard
+                    rec.count("stream.shard_decisions")
+            if timed:
+                start = self._clock()
+            with rec.span("stream.decision", **span_attrs):
+                picked = algorithm.process_customer(
+                    target, customer, assignment
+                )
+            if timed:
+                elapsed = self._clock() - start
+                rec.observe("stream.decision_seconds", elapsed)
+                if measure_latency:
+                    result.latencies.append(elapsed)
+                if (
+                    decision_deadline is not None
+                    and elapsed > decision_deadline
+                ):
+                    result.customers_lost += 1
+                    rec.count("stream.deadline_drops")
+                    continue  # customer went inactive; ads dropped
+            for instance in picked:
+                # A plain stream delivers each decision once, so an
+                # instance for a customer yet to arrive, or a repeated
+                # pair, counts as rejected.
+                if (
+                    instance.customer_id in seen
+                    and assignment.commit(instance) == COMMITTED
+                ):
+                    rec.count("stream.budget_commits")
+                    # A committed vendor was affordable before, so this
+                    # commit is the one that exhausted it.
+                    if instance.vendor_id in assignment.exhausted:
+                        result.vendors_deactivated += 1
+                        rec.count("stream.vendors_deactivated")
                 else:
-                    problem.reset_moves()
+                    result.rejected_instances += 1
+                    rec.count("stream.rejected_instances")
         result.churn_epoch = problem.churn.epoch
         result.exhausted_skips = problem.churn.skips - base_skips
         if result.exhausted_skips:
             rec.gauge("stream.exhausted_skips", result.exhausted_skips)
         return result
-
-    def _apply_moves(self, due, churn_plan) -> None:
-        """Apply customer moves due at one arrival tick.
-
-        Moves flow through the plan when one was supplied (even the
-        identity plan, which delegates straight to the problem) so
-        shard membership and resident views stay in sync.
-        """
-        if not due:
-            return
-        problem = self._problem
-        rec = recorder()
-        for move in due:
-            if churn_plan is not None:
-                applied = churn_plan.move_customer(
-                    move.customer_id, move.location
-                )
-            else:
-                applied = problem.move_customer(
-                    move.customer_id, move.location
-                )
-            if applied:
-                rec.count("stream.customer_moves")
-                rec.event(
-                    "stream.move",
-                    customer=move.customer_id,
-                    epoch=problem.location_epoch,
-                )
 
     def _apply_churn(
         self, events, churn_plan, plan, cold_rebuild: bool, warm_engine: bool

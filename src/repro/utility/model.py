@@ -155,7 +155,8 @@ class TaxonomyUtilityModel(UtilityModel):
         self._min_distance = min_distance
         self._max_cache_entries = max_cache_entries
         self._weights_cache: Dict[int, "object"] = {}
-        self._pair_cache: Dict[Tuple[int, int], float] = {}
+        #: ``(customer_id, vendor_id)`` -> ``(customer location, base)``.
+        self._pair_cache: Dict[Tuple[int, int], Tuple[object, float]] = {}
         #: Times either cache hit its bound and was cleared.
         self.cache_clears: int = 0
 
@@ -215,15 +216,18 @@ class TaxonomyUtilityModel(UtilityModel):
 
     def pair_base(self, customer: Customer, vendor: Vendor) -> float:
         key = (customer.customer_id, vendor.vendor_id)
-        base = self._pair_cache.get(key)
-        if base is None:
-            dist = clamp_distance(distance(customer, vendor), self._min_distance)
-            base = (
-                customer.view_probability
-                * self.preference(customer, vendor)
-                / dist
-            )
-            self._cache_put(self._pair_cache, key, base)
+        cached = self._pair_cache.get(key)
+        # A relocated customer keeps its id, so a hit counts only at the
+        # location it was scored at.
+        if cached is not None and cached[0] == customer.location:
+            return cached[1]
+        dist = clamp_distance(distance(customer, vendor), self._min_distance)
+        base = (
+            customer.view_probability
+            * self.preference(customer, vendor)
+            / dist
+        )
+        self._cache_put(self._pair_cache, key, (customer.location, base))
         return base
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.algorithms.calibration import calibrate_from_problem
@@ -12,6 +14,8 @@ from repro.algorithms.online_afa import (
 )
 from repro.algorithms.recalibrating import RecalibratingOnlineAFA
 from repro.core.validation import validate_assignment
+from repro.datagen.config import ParameterRange, WorkloadConfig
+from repro.datagen.synthetic import synthetic_problem
 from repro.datagen.tabular import random_tabular_problem
 from repro.stream.simulator import OnlineSimulator
 
@@ -84,3 +88,39 @@ def test_no_positive_observations_stays_bootstrap():
     )
     OnlineSimulator(problem).run(algorithm)
     assert algorithm.recalibrations == 0
+
+
+def test_one_candidate_scan_per_arrival():
+    """Observing and deciding share one scan, so churn skips are counted
+    once per arrival; decisions are those of the two-scan version."""
+    problem = synthetic_problem(
+        WorkloadConfig(
+            n_customers=2_000,
+            n_vendors=60,
+            seed=4,
+            budget_range=ParameterRange(1.0, 3.0),
+        )
+    )
+    calls = []
+    scan = problem.valid_vendor_ids
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    problem.valid_vendor_ids = counting
+    algorithm = RecalibratingOnlineAFA()
+    result = OnlineSimulator(problem).run(
+        algorithm, warm_engine=True, measure_latency=False
+    )
+    assert len(calls) == len(problem.customers)
+    triples = sorted(
+        (i.customer_id, i.vendor_id, i.type_id) for i in result.assignment
+    )
+    # Pinned from the two-scan version of this algorithm.
+    assert len(triples) == 34
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
+        "26674e0201b4e98551b8c9dad43af58d1f5c76bc3bb22a7c80aa7456c46110d4"
+    )
+    assert algorithm.recalibrations == 20
+    assert result.exhausted_skips == 86  # the two-scan version counted 172

@@ -16,6 +16,7 @@ from repro.churn import (
     ChurnEvent,
     seeded_vendor_churn,
 )
+from repro.core.assignment import COMMITTED, AdInstance
 from tests.churn.conftest import fresh_vendor, make_problem, segments
 
 
@@ -117,21 +118,36 @@ class TestIdempotency:
 
 
 class TestAutoDeactivation:
-    def test_exhausted_vendor_auto_deactivates_and_rolls_back(self):
+    def test_exhausted_vendor_rides_on_the_assignment(self):
         problem = make_problem()
-        assignment = problem.new_assignment()
         vendor = problem.vendors[0]
-        # Nothing spent yet: a full budget is not exhausted.
-        assert not problem.note_if_exhausted(assignment, vendor.vendor_id)
-        # Drain the budget below the cheapest ad type.
-        assignment._spend_per_vendor[vendor.vendor_id] = (
-            vendor.budget - problem.min_cost / 2
+        vid = vendor.vendor_id
+        customer = problem.customers_by_id[
+            problem.valid_customer_ids(vendor)[0]
+        ]
+        cheapest = min(problem.ad_types, key=lambda t: t.cost)
+        instance = AdInstance(
+            customer.customer_id, vid, cheapest.type_id, 1.0, cheapest.cost
         )
-        assert problem.note_if_exhausted(assignment, vendor.vendor_id)
-        assert vendor.vendor_id in problem.churn.inactive
-        assert vendor.vendor_id in problem.churn.auto
-        assert problem.reset_auto_deactivations() == 1
-        assert vendor.vendor_id not in problem.churn.inactive
+        # A commit leaving the cheapest ad affordable exhausts nothing.
+        solvent = problem.new_assignment()
+        assert solvent.commit(instance) == COMMITTED
+        assert not solvent.exhausted
+        # A commit leaving less than the cheapest ad exhausts the vendor
+        # on this run's assignment only.
+        assignment = problem.new_assignment()
+        assignment._spend_per_vendor[vid] = (
+            vendor.budget - cheapest.cost - problem.min_cost / 2
+        )
+        assert assignment.commit(instance) == COMMITTED
+        assert assignment.exhausted == {vid}
+        assert vid not in problem.churn.inactive
+        base_skips = problem.churn.skips
+        assert vid not in problem.valid_vendor_ids(customer, assignment)
+        assert problem.churn.skips == base_skips + 1
+        # Another run's assignment (or none) still scans the vendor.
+        assert vid in problem.valid_vendor_ids(customer, solvent)
+        assert vid in problem.valid_vendor_ids(customer)
 
     def test_inactive_vendors_skipped_by_candidate_scans(self):
         problem = make_problem()

@@ -9,6 +9,7 @@ import pytest
 from repro.churn import KIND_DEACTIVATE, KIND_INSERT, KIND_RETIRE, ChurnEvent
 from repro.engine.sharded import ShardedEngine
 from repro.exceptions import InvalidProblemError
+from repro.scenario import CustomerMove, MoveSchedule
 from repro.sharding import ShardPlan
 from repro.sharding.plan import METADATA_SCHEMA_VERSION
 from tests.churn.conftest import fresh_vendor, make_problem
@@ -29,10 +30,10 @@ def _occupied_cell(problem, plan, shard):
 
 class TestMigrateCells:
     def test_moved_customer_routed_to_emptied_shard(self):
-        # A customer moved out of its only shard's range keeps that
-        # membership; once every vendor of the shard migrates away its
-        # resident view holds no vendors (index on the fallback cell)
-        # but still routes the customer there.
+        # Every vendor of shard 0 migrates away, so its resident view
+        # holds no vendors (index on the fallback cell).  A customer
+        # relocated out of its only shard's range is not routed there,
+        # and a scan of the emptied view still returns at once.
         problem = make_problem()
         plan = ShardPlan.build(problem, 4)
         for shard in range(4):
@@ -41,7 +42,11 @@ class TestMigrateCells:
             c.customer_id for c in problem.customers
             if plan.shards_of_customer(c.customer_id) == [0]
         )
-        plan.move_customer(cid, (0.0, 1.0))
+        relocated = {}
+        MoveSchedule([CustomerMove(cid, (0.0, 1.0), tick=0)]).relocate(
+            0, relocated, problem.customers_by_id
+        )
+        customer = relocated[cid]
         cells = sorted(
             {
                 plan.cell_of(problem.vendors_by_id[vid].location)
@@ -49,11 +54,12 @@ class TestMigrateCells:
             }
         )
         plan.migrate_cells(cells, src=0, dst=1)
-        customer = problem.customers_by_id[cid]
         assert not plan.vendor_ids(0)
-        assert plan.route(customer) == 0
+        assert plan.route(customer) != 0
+        emptied = plan.problem_for(0)
         with within_seconds(5):
-            assert plan.problem_for(0).valid_vendor_ids(customer) == []
+            assert emptied.valid_vendor_ids(customer) == []
+            assert emptied.valid_vendor_ids(problem.customers_by_id[cid]) == []
 
     def test_migration_moves_vendors_and_emits_paired_deltas(self):
         problem = make_problem()

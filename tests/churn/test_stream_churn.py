@@ -73,11 +73,19 @@ class TestStreamParity:
             problem, 6, seed=4, n_ticks=len(problem.customers)
         )
         algorithm = OnlineAdaptiveFactorAware(gamma_min=0.05, g=4.0)
-        OnlineSimulator(problem).run(
+        first = OnlineSimulator(problem).run(
             algorithm, churn=schedule, measure_latency=False
         )
-        # Auto (budget-exhaustion) deactivations are rolled back...
-        assert not problem.churn.auto
+        # Budget exhaustion rides on the run's assignment; the shared
+        # instance keeps only the schedule's explicit deactivations...
+        assert first.vendors_deactivated == len(first.assignment.exhausted)
+        assert first.vendors_deactivated > 0
+        explicit = {
+            event.vendor_id
+            for event in schedule.events
+            if event.kind == KIND_DEACTIVATE
+        }
+        assert problem.churn.inactive == explicit & set(problem.vendors_by_id)
         # ...and a plain re-run still works end to end.
         result = OnlineSimulator(problem).run(
             algorithm, measure_latency=False

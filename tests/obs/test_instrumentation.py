@@ -121,7 +121,13 @@ class TestRecordedContent:
         path = rec.write_trace(tmp_path / "trace.json")
         lanes = {s.lane for s in spans_from_chrome_trace(path)}
         assert "main" in lanes
-        assert sum(1 for lane in lanes if lane.startswith("worker-")) >= 2
+        # How many workers get tasks depends on scheduling; the export
+        # must keep every worker lane the recorder saw, and there is one.
+        workers = {
+            s.lane for s in rec.all_spans if s.lane.startswith("worker-")
+        }
+        assert workers
+        assert workers <= lanes
 
     def test_stream_records_decision_spans_and_commits(self):
         problem = _problem()

@@ -44,12 +44,13 @@ def _fingerprint(assignment):
 class TestRealizeIdentity:
     def test_same_object_no_moves(self):
         problem = _problem()
+        before = list(problem.customers)
         run = SingleSlotStatic().realize(problem, SEED)
         assert run.problem is problem
         assert run.moves is None
         assert run.scenario == DEFAULT_SCENARIO
-        assert problem.location_epoch == 0
-        assert not problem.moved_customer_ids
+        assert problem.customers == before
+        assert all(problem.holds(c) for c in before)
 
     def test_registry_default_is_single_slot_static(self):
         assert isinstance(get_scenario(DEFAULT_SCENARIO), SingleSlotStatic)

@@ -69,21 +69,18 @@ def _batched(seed: int, batch_size: int, shards: int = 1):
     ordered = by_arrival_time(problem.customers)
     committed = []
     seq = 0
-    try:
-        for i in range(0, len(ordered), batch_size):
-            requests = []
-            for customer in ordered[i: i + batch_size]:
-                seq += 1
-                requests.append(
-                    AdRequest(
-                        request_id=seq, customer=customer, arrival_time=0.0
-                    )
+    for i in range(0, len(ordered), batch_size):
+        requests = []
+        for customer in ordered[i: i + batch_size]:
+            seq += 1
+            requests.append(
+                AdRequest(
+                    request_id=seq, customer=customer, arrival_time=0.0
                 )
-            results = scorer.score(requests)
-            for request in requests:
-                committed.extend(results[request.request_id][0])
-    finally:
-        scorer.finish()
+            )
+        results = scorer.score(requests)
+        for request in requests:
+            committed.extend(results[request.request_id][0])
     return _instance_bytes(committed), scorer.stats
 
 
@@ -128,10 +125,7 @@ def test_contention_resolved_without_rejections():
         AdRequest(request_id=i + 1, customer=c, arrival_time=0.0)
         for i, c in enumerate(by_arrival_time(problem.customers))
     ]
-    try:
-        scorer.score(requests)  # everything in ONE batch
-    finally:
-        scorer.finish()
+    scorer.score(requests)  # everything in ONE batch
     assert scorer.stats.rejected_instances == 0
     assert scorer.stats.commits > 0
 
@@ -157,12 +151,19 @@ def test_exhaustion_skips_match_sequential():
         AdRequest(request_id=i + 1, customer=c, arrival_time=0.0)
         for i, c in enumerate(by_arrival_time(problem.customers))
     ]
-    try:
-        scorer.score(requests)
-    finally:
-        scorer.finish()
-    # finish() rolled automatic deactivations back: reusable problem.
+    scorer.score(requests)
+    # Exhaustion rides on the scorer's assignment, never the instance.
+    assert scorer.stats.vendors_deactivated > 0
+    assert scorer.stats.vendors_deactivated == len(
+        scorer.assignment.exhausted
+    )
     assert not problem.churn.inactive
+    fresh = _problem(seed)
+    sequential = OnlineSimulator(fresh).run(
+        _algorithm(fresh, seed), measure_latency=False
+    )
+    assert sequential.vendors_deactivated == scorer.stats.vendors_deactivated
+    assert sequential.exhausted_skips == problem.churn.skips
 
 
 def _recalibrating_run(seed: int, batch_size: int = 0):
@@ -179,14 +180,11 @@ def _recalibrating_run(seed: int, batch_size: int = 0):
         return _instance_bytes(result.assignment), algorithm.recalibrations
     scorer = BatchScorer(problem, algorithm)
     ordered = by_arrival_time(problem.customers)
-    try:
-        for i in range(0, len(ordered), batch_size):
-            scorer.score([
-                AdRequest(request_id=i + j + 1, customer=c, arrival_time=0.0)
-                for j, c in enumerate(ordered[i: i + batch_size])
-            ])
-    finally:
-        scorer.finish()
+    for i in range(0, len(ordered), batch_size):
+        scorer.score([
+            AdRequest(request_id=i + j + 1, customer=c, arrival_time=0.0)
+            for j, c in enumerate(ordered[i: i + batch_size])
+        ])
     return _instance_bytes(scorer.assignment), algorithm.recalibrations
 
 
