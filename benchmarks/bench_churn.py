@@ -9,6 +9,10 @@ Two measurements over the shared gate workload, emitted as
   ``SPEEDUP_GATE``x faster than rebuilding the engine cold.  This is
   the whole point of the incremental path: one vendor joining must not
   cost a full rebuild.
+* **Cell migration** (counts enforced, time reported): one cell of a
+  ``GATE_SHARDS``-shard gate plan moves between two warm shard views.  The
+  moving vendors carry their scored segments, so the migration makes
+  no customer-index build and no Eq. 4/5 kernel call.
 * **Parity** (enforced unconditionally): after a seeded sequence of
   ``N_EVENTS`` mixed deltas (insert/retire/deactivate/migrate) the
   spliced state must match a cold rebuild exactly --
@@ -30,6 +34,8 @@ import time
 
 import numpy as np
 
+import repro.core.problem as problem_mod
+import repro.engine.engine as engine_mod
 from benchmarks.harness import write_bench_json
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.churn import seeded_vendor_churn
@@ -108,6 +114,48 @@ def _time_single_delta(problem) -> float:
         problem.retire_vendor(vendor.vendor_id)
         best = min(best, (time.perf_counter() - start) / 2.0)
     return best
+
+
+def _time_migration() -> dict:
+    """Fastest single cell migration between two warm shard views (the
+    busiest cell of shard 0 moves to shard 1), with the customer-index
+    builds and Eq. 4/5 kernel calls it made."""
+    counts = {"customer_index_builds": 0, "kernel_calls": 0}
+    wrapped = (
+        (problem_mod, "build_customer_index", "customer_index_builds"),
+        (engine_mod, "_kernel_pair_bases", "kernel_calls"),
+    )
+    best, moved = float("inf"), 0
+    for _ in range(REPEATS):
+        problem = synthetic_problem(GATE_CONFIG)
+        plan = ShardPlan.build(problem, GATE_SHARDS)
+        for shard in range(plan.n_shards):
+            view = plan.problem_for(shard)
+            view.warm_utilities()
+            view.customer_index  # a warm view has its index
+        by_cell = {}
+        for vid in plan.vendor_ids(0):
+            cell = plan.cell_of(problem.vendors_by_id[vid].location)
+            by_cell[cell] = by_cell.get(cell, 0) + 1
+        cell = max(sorted(by_cell), key=by_cell.__getitem__)
+        originals = [getattr(module, name) for module, name, _ in wrapped]
+        counts.update(dict.fromkeys(counts, 0))
+        for (module, name, key), original in zip(wrapped, originals):
+
+            def counted(*args, _key=key, _original=original, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            setattr(module, name, counted)
+        try:
+            start = time.perf_counter()
+            plan.migrate_cells([cell], src=0, dst=1)
+            best = min(best, time.perf_counter() - start)
+        finally:
+            for (module, name, _), original in zip(wrapped, originals):
+                setattr(module, name, original)
+        moved = by_cell[cell]
+    return {"seconds": best, "vendors_moved": moved, **counts}
 
 
 def _segments(problem, engine):
@@ -219,6 +267,14 @@ def test_churn_gate():
         f"(gate {SPEEDUP_GATE}x)"
     )
 
+    migration = _time_migration()
+    print(
+        f"[churn] cell migration of {migration['vendors_moved']} vendors "
+        f"{migration['seconds'] * 1e3:.2f}ms, "
+        f"{migration['customer_index_builds']} index builds, "
+        f"{migration['kernel_calls']} kernel calls"
+    )
+
     engine_diff = _engine_parity(problem)
     print(
         f"[churn] engine parity after {N_EVENTS} deltas: "
@@ -264,6 +320,7 @@ def test_churn_gate():
                 "single_delta_seconds": delta_seconds,
                 "speedup": speedup,
             },
+            "migration": migration,
             "engine_parity_max_abs_diff": engine_diff,
             "stream_parity": {
                 str(shards): payload for shards, payload in stream.items()
@@ -281,6 +338,10 @@ def test_churn_gate():
             f"{payload['utility_diff']:.2e} at {shards} shard(s)"
         )
         assert payload["churn_epoch"] == N_EVENTS
+
+    # Migration work: counts, so machine-independent.
+    assert migration["customer_index_builds"] == 0
+    assert migration["kernel_calls"] == 0
 
     # Speedup: a same-machine wall-clock ratio, so unconditional.
     assert speedup >= SPEEDUP_GATE, (

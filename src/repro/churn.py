@@ -163,6 +163,9 @@ class ShardDelta:
     Emitted by ``ShardPlan.apply_churn`` for every shard the event
     touches; the cluster episode forwards it to the shard's worker as a
     ``ChurnRequest`` so out-of-process copies of the view stay in sync.
+    Apply one with ``MUAAProblem.apply_delta``.  A joining vendor also
+    listed in ``deactivate`` (a deactivated vendor whose cell migrated)
+    arrives deactivated.
     """
 
     shard: int

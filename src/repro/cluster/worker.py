@@ -246,13 +246,8 @@ class ShardServer:
         with self._rec.span(
             "cluster.shard_churn", shard=self.shard_id, epoch=delta.epoch
         ):
-            for join in delta.join:
-                problem.admit_customers(join.admit)
-                problem.insert_vendor(join.vendor, position=join.position)
-            for vendor_id in delta.retire:
-                problem.retire_vendor(vendor_id)
-            if delta.deactivate:
-                problem.deactivate_vendors(delta.deactivate)
+            # No source engine here: joining segments are re-scored.
+            problem.apply_delta(delta)
         problem.churn.epoch = delta.epoch
         return ChurnReply(
             shard=self.shard_id, epoch=delta.epoch, applied=True

@@ -27,7 +27,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.churn import KIND_DEACTIVATE, KIND_INSERT, KIND_RETIRE, ChurnEvent, ChurnState
+from repro.churn import (
+    KIND_DEACTIVATE,
+    KIND_INSERT,
+    KIND_RETIRE,
+    ChurnEvent,
+    ChurnState,
+    ShardDelta,
+)
 from repro.core.assignment import AdInstance, Assignment
 from repro.core.entities import AdType, Customer, Vendor, distance
 from repro.exceptions import InvalidProblemError
@@ -589,7 +596,11 @@ class MUAAProblem:
     # Churn (live vendor joins/leaves; see docs/incremental.md)
     # ------------------------------------------------------------------
     def insert_vendor(
-        self, vendor: Vendor, position: Optional[int] = None
+        self,
+        vendor: Vendor,
+        position: Optional[int] = None,
+        bases=None,
+        cleared: bool = False,
     ) -> bool:
         """Add a joining vendor at catalogue ``position`` (default:
         end), threading the delta into a built compute engine.
@@ -597,7 +608,10 @@ class MUAAProblem:
         The customer spatial index is left untouched (its cell size is
         frozen at construction; range queries stay exact for any
         radius), so a cold engine rebuild on this same problem object
-        reproduces the delta result bit for bit.  Idempotent.
+        reproduces the delta result bit for bit.  ``bases`` and
+        ``cleared`` pass through to
+        :meth:`~repro.engine.ComputeEngine.insert_vendor` (carried pair
+        bases; arrive deactivated).  Idempotent.
         """
         if vendor.vendor_id in self.vendors_by_id:
             return False
@@ -611,18 +625,23 @@ class MUAAProblem:
         self.max_radius = max(self.max_radius, vendor.radius)
         self._vendor_index = None
         if self._engine is not None:
-            self._engine.insert_vendor(vendor, row=position)
+            self._engine.insert_vendor(
+                vendor, row=position, bases=bases, cleared=cleared
+            )
         return True
 
     def retire_vendor(self, vendor_id: int) -> bool:
         """Remove a leaving vendor from the catalogue and a built
         engine.  The ``budgets`` entry is kept -- live assignments still
-        account spend against it.  Idempotent."""
+        account spend against it -- and so is a deactivation in the
+        shared ``churn.inactive``: a vendor leaving one shard view for
+        another (cell migration) stays dormant.  A ``retire`` event
+        (:meth:`apply_churn`, ``ShardPlan.apply_churn``) forgets it.
+        Idempotent."""
         vendor = self.vendors_by_id.pop(vendor_id, None)
         if vendor is None:
             return False
         self.vendors.remove(vendor)
-        self.churn.inactive.discard(vendor_id)
         self._vendor_index = None
         if self._engine is not None:
             self._engine.retire_vendor(vendor_id)
@@ -630,9 +649,13 @@ class MUAAProblem:
 
     def admit_customers(self, customers: Sequence[Customer]) -> int:
         """Add new customers (shard views admit replicas during a cell
-        migration).  The spatial index is invalidated for lazy rebuild;
-        ``capacities`` is shared by reference with live assignments, so
-        the admits are immediately servable.  Idempotent per id."""
+        migration).  A built grid index takes the new points in place:
+        its cell size is frozen while it lives and a cell lists points
+        in insertion order, so the result equals a rebuild over the
+        grown customer list.  A KD-tree index is dropped for lazy
+        rebuild.  ``capacities`` is shared by reference with live
+        assignments, so the admits are immediately servable.
+        Idempotent per id."""
         fresh = [
             c for c in customers if c.customer_id not in self.customers_by_id
         ]
@@ -642,7 +665,13 @@ class MUAAProblem:
             self.customers.append(customer)
             self.customers_by_id[customer.customer_id] = customer
             self.capacities[customer.customer_id] = customer.capacity
-        self._customer_index = None
+        if isinstance(self._customer_index, GridIndex):
+            for customer in fresh:
+                self._customer_index.insert(
+                    customer.customer_id, customer.location
+                )
+        else:
+            self._customer_index = None
         if self._engine is not None:
             self._engine.admit_customers(fresh)
         return len(fresh)
@@ -650,16 +679,16 @@ class MUAAProblem:
     def deactivate_vendors(self, vendor_ids: Sequence[int]) -> int:
         """Mark vendors inactive so candidate scans skip them (a
         ``deactivate`` churn event), splicing their candidate segments
-        out of a built engine.  Returns the number newly deactivated.
+        out of a built engine -- also for vendors the shared state
+        already lists (a shard view catching up).  Returns the number
+        newly deactivated.
         """
-        fresh = [
-            vid for vid in vendor_ids
-            if vid in self.vendors_by_id and vid not in self.churn.inactive
-        ]
+        known = [vid for vid in vendor_ids if vid in self.vendors_by_id]
+        fresh = [vid for vid in known if vid not in self.churn.inactive]
         self.churn.inactive.update(fresh)
         self.churn.deactivations += len(fresh)
-        if fresh and self._engine is not None:
-            self._engine.deactivate_exhausted(fresh)
+        if known and self._engine is not None:
+            self._engine.deactivate_exhausted(known)
         return len(fresh)
 
     def reactivate_vendors(self, vendor_ids: Sequence[int]) -> int:
@@ -673,6 +702,40 @@ class MUAAProblem:
                     self._engine.restore_vendor(vid)
         return count
 
+    def apply_delta(
+        self, delta: ShardDelta, bases: Optional[Dict[int, tuple]] = None
+    ) -> None:
+        """Apply one :class:`~repro.churn.ShardDelta` to this instance
+        (a plan's shard view, or a cluster worker's copy of one).
+
+        Retires first.  Then one splice for all joins: their new
+        customers are admitted in one pass and each joining vendor is
+        inserted at its catalogue position -- deactivated when the
+        delta also lists it in ``deactivate`` (a dormant vendor moving
+        cells stays dormant), else with its carried pair bases from
+        ``bases`` (vendor id -> the source engine's
+        :meth:`~repro.engine.ComputeEngine.segment_bases`) or scored.
+        Deactivations last.  Idempotent, like every delta primitive.
+        """
+        for vendor_id in delta.retire:
+            self.retire_vendor(vendor_id)
+        if delta.join:
+            dormant = set(delta.deactivate)
+            bases = bases or {}
+            self.admit_customers(
+                [c for join in delta.join for c in join.admit]
+            )
+            for join in delta.join:
+                vendor_id = join.vendor.vendor_id
+                self.insert_vendor(
+                    join.vendor,
+                    position=join.position,
+                    bases=bases.get(vendor_id),
+                    cleared=vendor_id in dormant,
+                )
+        if delta.deactivate:
+            self.deactivate_vendors(delta.deactivate)
+
     def apply_churn(self, event: ChurnEvent) -> int:
         """Apply one churn event directly to this (un-sharded) problem
         and bump the epoch.  ``migrate`` events are shard-level --
@@ -681,6 +744,7 @@ class MUAAProblem:
             self.insert_vendor(event.vendor)
         elif event.kind == KIND_RETIRE:
             self.retire_vendor(event.vendor_id)
+            self.churn.inactive.discard(event.vendor_id)
         elif event.kind == KIND_DEACTIVATE:
             self.deactivate_vendors([event.vendor_id])
         else:

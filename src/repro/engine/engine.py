@@ -371,18 +371,18 @@ class ComputeEngine:
         ``np.argmax`` returns the *first* maximum, which is exactly the
         scalar loop's strict-``>`` tie-breaking over catalogue order
         (each level's columns are kept in ascending catalogue order).
+        Efficiencies are divided out for the level's columns only
+        (elementwise, so bitwise the :meth:`efficiencies` columns).
         """
         cached = self._level_tables[by][level]
         if cached is None:
-            matrix = (
-                self.efficiencies() if by == "efficiency" else self.utilities()
-            )
-            cols = self._level_cols[level]
-            if len(cols) == matrix.shape[1]:
-                cached = np.argmax(matrix, axis=1).tolist()
-            else:
-                sub = np.argmax(matrix[:, cols], axis=1)
-                cached = np.asarray(cols)[sub].tolist()
+            cols = list(self._level_cols[level])
+            matrix = self.utilities()
+            if len(cols) != matrix.shape[1]:
+                matrix = matrix[:, cols]
+            if by == "efficiency":
+                matrix = matrix / self._arrays.type_cost[cols]
+            cached = np.asarray(cols)[np.argmax(matrix, axis=1)].tolist()
             self._level_tables[by][level] = cached
         return cached
 
@@ -475,23 +475,21 @@ class ComputeEngine:
             matrices as the scalar level tables -- affordability is the
             same :data:`_COST_EPS`-tolerant cost threshold and
             ``argmax`` breaks ties toward the lowest catalogue index --
-            so each row reproduces :meth:`best_for_pair` exactly.
+            so each row reproduces :meth:`best_for_pair` exactly.  Only
+            the gathered rows are divided by the type costs, which is
+            elementwise and so bitwise the full efficiency matrix's rows.
         """
-        if by == "efficiency":
-            matrix = self.efficiencies()
-        elif by == "utility":
-            matrix = self.utilities()
-        else:
+        if by not in ("efficiency", "utility"):
             raise ValueError(f"unknown ranking criterion {by!r}")
         pos = np.asarray(positions, dtype=np.int64)
         rem = np.asarray(remaining, dtype=np.float64)
-        affordable = (
-            self._arrays.type_cost[None, :] <= rem[:, None] + _COST_EPS
-        )
-        scores = matrix[pos]
+        type_cost = self._arrays.type_cost[None, :]
+        affordable = type_cost <= rem[:, None] + _COST_EPS
+        gathered = self.utilities()[pos]
+        scores = gathered / type_cost if by == "efficiency" else gathered
         masked = np.where(affordable, scores, -np.inf)
         best = np.argmax(masked, axis=1)
-        utility = self.utilities()[pos, best]
+        utility = gathered[np.arange(len(pos)), best]
         return best, utility, affordable.any(axis=1)
 
     # ------------------------------------------------------------------
@@ -528,6 +526,40 @@ class ComputeEngine:
             )
         return bases
 
+    def segment_bases(
+        self, vendor_id: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(customer_ids, pair_bases)`` of one vendor's live segment,
+        for another engine to carry (a cell migration between shard
+        views), or ``None`` when there is nothing to carry: bases not
+        scored, vendor unknown, or its segment cleared."""
+        row = self._arrays.vendor_index.get(vendor_id)
+        if row is None or self._bases is None or vendor_id in self._cleared:
+            return None
+        seg = self._edges.vendor_slice(row)
+        return (
+            self._arrays.customer_ids[self._edges.customer_idx[seg]],
+            self._bases[seg],
+        )
+
+    def _gather_bases(
+        self, seg_rows: np.ndarray, carried: Tuple[np.ndarray, np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Carried pair bases reordered into this engine's segment
+        order, or ``None`` unless they cover exactly the segment's
+        customers (a pruned source keeps fewer).  A pair base depends
+        only on the pair, so the gather is bitwise a re-score."""
+        customer_ids, bases = carried
+        wanted = self._arrays.customer_ids[seg_rows]
+        if len(wanted) != len(customer_ids):
+            return None
+        order = np.argsort(customer_ids)
+        found = np.searchsorted(customer_ids[order], wanted)
+        at = order[np.minimum(found, len(order) - 1)]
+        if not np.array_equal(customer_ids[at], wanted):
+            return None
+        return bases[at]
+
     def _install_segment(
         self,
         row: int,
@@ -535,12 +567,18 @@ class ComputeEngine:
         seg_rows: np.ndarray,
         dist: np.ndarray,
         vendor_id: int,
+        carried: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Splice a freshly built segment's derived state in at
-        ``start``: bases, utility matrix/rows, level tables, point
-        index.  The edge table itself was already spliced."""
+        ``start``: bases (``carried`` ones when they cover the segment,
+        else scored), utility matrix/rows, level tables, point index.
+        The edge table itself was already spliced."""
         if self._bases is not None and len(seg_rows):
-            seg_bases = self._score_segment(row, seg_rows, dist)
+            seg_bases = None
+            if carried is not None:
+                seg_bases = self._gather_bases(seg_rows, carried)
+            if seg_bases is None:
+                seg_bases = self._score_segment(row, seg_rows, dist)
             self._bases = np.concatenate([
                 self._bases[:start], seg_bases, self._bases[start:]
             ])
@@ -602,15 +640,26 @@ class ComputeEngine:
                 if table is not None:
                     del table[start:stop]
 
-    def insert_vendor(self, vendor, row: Optional[int] = None) -> bool:
+    def insert_vendor(
+        self,
+        vendor,
+        row: Optional[int] = None,
+        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        cleared: bool = False,
+    ) -> bool:
         """Splice a new vendor (and its candidate segment) into the
         engine at vendor row ``row`` (default: catalogue end).
 
         The segment is enumerated with the scalar grid query (the exact
         per-vendor order of a cold build) and scored with the same
         fixed-order kernel, so queries after the delta are bitwise the
-        cold-rebuild answers.  Idempotent: a vendor already present is
-        a no-op returning ``False``.
+        cold-rebuild answers.  ``bases`` (another engine's
+        :meth:`segment_bases` of this vendor) are gathered instead of
+        scored when they cover the segment.  ``cleared`` inserts the
+        vendor deactivated: its row and adjacency entries, an empty
+        segment, nothing scored (:meth:`restore_vendor` fills it).
+        Idempotent: a vendor already present is a no-op returning
+        ``False``.
         """
         arrays = self._arrays
         if vendor.vendor_id in arrays.vendor_index:
@@ -625,15 +674,22 @@ class ComputeEngine:
             "engine.delta_insert", vendor=vendor.vendor_id
         ):
             seg_rows, dist = vendor_segment(self._problem, new_arrays, vendor)
+            listed = new_arrays.customer_ids[seg_rows].tolist()
+            if cleared:
+                self._cleared.add(vendor.vendor_id)
+                seg_rows = seg_rows[:0]
+                dist = dist[:0]
             start = int(self._edges.vendor_starts[row])
             self._edges = insert_vendor_segment(
                 self._edges, row, seg_rows, dist
             )
             self._arrays = new_arrays
-            self._install_segment(row, start, seg_rows, dist, vendor.vendor_id)
+            self._install_segment(
+                row, start, seg_rows, dist, vendor.vendor_id, bases
+            )
             if self._adjacency is not None:
                 vendor_index = new_arrays.vendor_index
-                for cid in new_arrays.customer_ids[seg_rows].tolist():
+                for cid in listed:
                     listed = self._adjacency.setdefault(cid, [])
                     # Keep the per-customer vendor list in catalogue
                     # (row) order; scans from the right so catalogue

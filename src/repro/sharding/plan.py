@@ -485,68 +485,91 @@ class ShardPlan:
     # ------------------------------------------------------------------
     # Live churn (incremental membership; see docs/incremental.md)
     # ------------------------------------------------------------------
-    def _vendor_rows(self) -> Dict[int, int]:
-        """Vendor id -> current global catalogue row."""
-        return {
+    def _attach_vendors(
+        self, shard: int, joining: Sequence[Tuple[Vendor, Sequence[int]]]
+    ) -> List[VendorJoin]:
+        """Record vendors joining ``shard`` (each with its in-range
+        customers), in one pass: shard vendor list (kept in global
+        catalogue order), customer refcounts/membership, replication,
+        and edge counts.  Returns one :class:`VendorJoin` per vendor:
+        its insertion position in the shard's vendor list and the
+        customers it brings into the shard."""
+        customers_by_id = self._problem.customers_by_id
+        rows = {
             v.vendor_id: row for row, v in enumerate(self._problem.vendors)
         }
-
-    def _attach_vendor(
-        self, shard: int, vendor: Vendor, in_range: Sequence[int]
-    ) -> int:
-        """Record a vendor joining ``shard``: shard vendor list (kept in
-        global catalogue order), customer refcounts/membership,
-        replication, and edge counts.  Returns the vendor's insertion
-        position inside the shard's vendor list."""
-        rows = self._vendor_rows()
         ids = self._shard_vendor_ids[shard]
-        position = bisect_left(
-            [rows[vid] for vid in ids], rows[vendor.vendor_id]
-        )
-        ids.insert(position, vendor.vendor_id)
+        keys = [rows[vid] for vid in ids]
         refs = self._refs[shard]
-        members = self._shard_customer_ids[shard]
-        crow = self._customer_rows
-        member_rows = [crow[cid] for cid in members]
-        for cid in in_range:
-            count = refs.get(cid, 0)
-            if count == 0:
-                pos = bisect_left(member_rows, crow[cid])
-                members.insert(pos, cid)
-                member_rows.insert(pos, crow[cid])
+        joins: List[VendorJoin] = []
+        admitted: List[int] = []
+        for vendor, in_range in joining:
+            key = rows[vendor.vendor_id]
+            position = bisect_left(keys, key)
+            keys.insert(position, key)
+            ids.insert(position, vendor.vendor_id)
+            fresh = [cid for cid in in_range if cid not in refs]
+            for cid in in_range:
+                refs[cid] = refs.get(cid, 0) + 1
+            admitted.extend(fresh)
+            self._vendor_degrees[vendor.vendor_id] = len(in_range)
+            if self._edge_counts is not None:
+                self._edge_counts[shard] += len(in_range)
+            joins.append(
+                VendorJoin(
+                    vendor=vendor,
+                    position=position,
+                    admit=tuple(customers_by_id[cid] for cid in fresh),
+                )
+            )
+        if admitted:
+            members = self._shard_customer_ids[shard]
+            members.extend(admitted)
+            members.sort(key=self._customer_rows.__getitem__)
+            for cid in admitted:
                 insort(self._shards_of_customer.setdefault(cid, []), shard)
-            refs[cid] = count + 1
-        self._vendor_degrees[vendor.vendor_id] = len(in_range)
-        if self._edge_counts is not None:
-            self._edge_counts[shard] += len(in_range)
-        return position
+        return joins
 
-    def _detach_vendor(
-        self, shard: int, vendor_id: int, in_range: Sequence[int]
+    def _detach_vendors(
+        self, shard: int, leaving: Dict[int, Sequence[int]]
     ) -> None:
-        """Record a vendor leaving ``shard``; customers whose refcount
-        drops to zero leave the shard's membership/replication maps."""
-        self._shard_vendor_ids[shard].remove(vendor_id)
+        """Record vendors leaving ``shard`` (vendor id -> in-range
+        customers), in one pass; customers whose refcount drops to zero
+        leave the shard's membership/replication maps."""
+        ids = self._shard_vendor_ids[shard]
+        ids[:] = [vid for vid in ids if vid not in leaving]
         refs = self._refs[shard]
+        dropped = set()
+        for vendor_id, in_range in leaving.items():
+            for cid in in_range:
+                count = refs.get(cid, 0) - 1
+                if count <= 0:
+                    refs.pop(cid, None)
+                    dropped.add(cid)
+                else:
+                    refs[cid] = count
+            degree = self._vendor_degrees.pop(vendor_id, len(in_range))
+            if self._edge_counts is not None:
+                self._edge_counts[shard] -= degree
+        if not dropped:
+            return
         members = self._shard_customer_ids[shard]
-        for cid in in_range:
-            count = refs.get(cid, 0) - 1
-            if count <= 0:
-                refs.pop(cid, None)
-                try:
-                    members.remove(cid)
-                except ValueError:
-                    pass
-                shards = self._shards_of_customer.get(cid)
-                if shards is not None and shard in shards:
-                    shards.remove(shard)
-                    if not shards:
-                        del self._shards_of_customer[cid]
-            else:
-                refs[cid] = count
-        degree = self._vendor_degrees.pop(vendor_id, len(in_range))
-        if self._edge_counts is not None:
-            self._edge_counts[shard] -= degree
+        members[:] = [cid for cid in members if cid not in dropped]
+        for cid in dropped:
+            shards = self._shards_of_customer.get(cid)
+            if shards is not None and shard in shards:
+                shards.remove(shard)
+                if not shards:
+                    del self._shards_of_customer[cid]
+
+    def _splice_views(
+        self, deltas: Sequence[ShardDelta], bases=None
+    ) -> None:
+        """Apply each delta to its shard's resident view (if any)."""
+        for delta in deltas:
+            view = self._views.get(delta.shard)
+            if view is not None:
+                view.apply_delta(delta, bases)
 
     def _commit_event(
         self, event: ChurnEvent, touched: Sequence[int]
@@ -572,9 +595,12 @@ class ShardPlan:
         Membership, routing, replication and cached views are updated
         incrementally -- untouched shards are not rebuilt, and the two
         touched shards' resident views are spliced (vendors retired
-        from ``src``; customers admitted and vendors inserted into
-        ``dst`` at catalogue positions) rather than rebuilt.  The
-        event is appended to the churn log (one epoch tick).
+        from ``src``; customers admitted once and vendors inserted into
+        ``dst`` at catalogue positions) rather than rebuilt.  Live
+        vendors carry their pair bases from the ``src`` engine, so
+        nothing is re-scored; a deactivated vendor stays deactivated
+        (the ``dst`` delta lists it in ``deactivate``).  The event is
+        appended to the churn log (one epoch tick).
 
         Returns the per-shard deltas (for ``src`` and ``dst``) so a
         cluster episode can forward them to out-of-process workers.
@@ -600,43 +626,46 @@ class ShardPlan:
             kind=KIND_MIGRATE, cells=tuple(sorted(cell_set)), src=src, dst=dst
         )
         if not moved:
-            epoch = self._commit_event(event, ())
+            self._commit_event(event, ())
             return []
-        joins: List[VendorJoin] = []
+        in_range = {
+            vid: problem.valid_customer_ids(problem.vendors_by_id[vid])
+            for vid in moved
+        }
+        self._detach_vendors(src, in_range)
+        joins = self._attach_vendors(
+            dst, [(problem.vendors_by_id[vid], in_range[vid]) for vid in moved]
+        )
         for vid in moved:
-            vendor = problem.vendors_by_id[vid]
-            in_range = problem.valid_customer_ids(vendor)
-            self._detach_vendor(src, vid, in_range)
-            admit_ids = [
-                cid for cid in in_range if cid not in self._refs[dst]
-            ]
-            position = self._attach_vendor(dst, vendor, in_range)
             self.shard_of_vendor[vid] = dst
-            joins.append(
-                VendorJoin(
-                    vendor=vendor,
-                    position=position,
-                    admit=tuple(
-                        problem.customers_by_id[cid] for cid in admit_ids
-                    ),
-                )
-            )
         for cell in cell_set:
             self._cell_owner[cell] = dst
-        src_view = self._views.get(src)
-        if src_view is not None:
-            for vid in moved:
-                src_view.retire_vendor(vid)
-        dst_view = self._views.get(dst)
-        if dst_view is not None:
-            for join in joins:
-                dst_view.admit_customers(join.admit)
-                dst_view.insert_vendor(join.vendor, position=join.position)
         epoch = self._commit_event(event, (src, dst))
-        return [
+        deltas = [
             ShardDelta(shard=src, epoch=epoch, retire=tuple(moved)),
-            ShardDelta(shard=dst, epoch=epoch, join=tuple(joins)),
+            ShardDelta(
+                shard=dst,
+                epoch=epoch,
+                join=tuple(joins),
+                deactivate=tuple(
+                    vid for vid in moved if vid in problem.churn.inactive
+                ),
+            ),
         ]
+        # The source engine's scored segments travel with their vendors
+        # (taken before the source view retires them).
+        src_view, bases = self._views.get(src), {}
+        if (
+            dst in self._views
+            and src_view is not None
+            and src_view.engine is not None
+        ):
+            for vid in moved:
+                carried = src_view.engine.segment_bases(vid)
+                if carried is not None:
+                    bases[vid] = carried
+        self._splice_views(deltas, bases)
+        return deltas
 
     def apply_churn(self, event: ChurnEvent) -> List[ShardDelta]:
         """Apply one churn event through the plan, bumping the epoch.
@@ -673,28 +702,18 @@ class ShardPlan:
                 counts = self.edge_counts()
                 dst = counts.index(min(counts))
             problem.insert_vendor(vendor)
-            in_range = problem.valid_customer_ids(vendor)
-            admit_ids = [
-                cid for cid in in_range if cid not in self._refs[dst]
-            ]
-            position = self._attach_vendor(dst, vendor, in_range)
+            (join,) = self._attach_vendors(
+                dst, [(vendor, problem.valid_customer_ids(vendor))]
+            )
             self.shard_of_vendor[vendor.vendor_id] = dst
             self._cell_owner.setdefault(cell, dst)
-            join = VendorJoin(
-                vendor=vendor,
-                position=position,
-                admit=tuple(
-                    problem.customers_by_id[cid] for cid in admit_ids
-                ),
-            )
-            view = self._views.get(dst)
-            if view is not None:
-                view.admit_customers(join.admit)
-                view.insert_vendor(vendor, position=position)
             epoch = self._commit_event(event, (dst,))
-            return [ShardDelta(shard=dst, epoch=epoch, join=(join,))]
+            deltas = [ShardDelta(shard=dst, epoch=epoch, join=(join,))]
+            self._splice_views(deltas)
+            return deltas
         if event.kind == KIND_RETIRE:
             vendor_id = event.vendor_id
+            problem.churn.inactive.discard(vendor_id)
             if self._identity:
                 if problem.retire_vendor(vendor_id):
                     self._shard_vendor_ids[0].remove(vendor_id)
@@ -708,32 +727,30 @@ class ShardPlan:
                 epoch = self._commit_event(event, ())
                 return []
             vendor = problem.vendors_by_id[vendor_id]
-            in_range = problem.valid_customer_ids(vendor)
+            self._detach_vendors(
+                shard, {vendor_id: problem.valid_customer_ids(vendor)}
+            )
             problem.retire_vendor(vendor_id)
-            self._detach_vendor(shard, vendor_id, in_range)
-            view = self._views.get(shard)
-            if view is not None:
-                view.retire_vendor(vendor_id)
             epoch = self._commit_event(event, (shard,))
-            return [ShardDelta(shard=shard, epoch=epoch, retire=(vendor_id,))]
+            deltas = [ShardDelta(shard=shard, epoch=epoch, retire=(vendor_id,))]
+            self._splice_views(deltas)
+            return deltas
         if event.kind == KIND_DEACTIVATE:
             vendor_id = event.vendor_id
             shard = 0 if self._identity else self.shard_of_vendor.get(
                 vendor_id
             )
             problem.deactivate_vendors([vendor_id])
-            if shard is not None and not self._identity:
-                view = self._views.get(shard)
-                if view is not None and view.engine is not None:
-                    view.engine.deactivate_exhausted([vendor_id])
             # Set-only at the membership level: no structural change,
             # so no version bump and untouched caches stay valid.
             epoch = self._commit_event(event, ())
             if shard is None:
                 return []
-            return [
+            deltas = [
                 ShardDelta(shard=shard, epoch=epoch, deactivate=(vendor_id,))
             ]
+            self._splice_views(deltas)
+            return deltas
         raise InvalidProblemError(f"unknown churn event kind {event.kind!r}")
 
     # ------------------------------------------------------------------

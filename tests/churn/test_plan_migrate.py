@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
+import numpy as np
 import pytest
 
+import repro.core.problem as problem_mod
+import repro.engine.engine as engine_mod
 from repro.churn import KIND_DEACTIVATE, KIND_INSERT, KIND_RETIRE, ChurnEvent
+from repro.core.problem import MUAAProblem
 from repro.engine.sharded import ShardedEngine
 from repro.exceptions import InvalidProblemError
 from repro.scenario import CustomerMove, MoveSchedule
@@ -143,6 +148,181 @@ class TestMigrateCells:
         deltas = plan.migrate_cells([(99, 99)], src=0, dst=1)
         assert deltas == []
         assert plan.epoch == 1
+
+
+def _engine_state(view):
+    """Everything a migration splices into a view's engine, per vendor
+    segment: customer order, pair bases, utilities and the entries of
+    every built best-type level table; plus the cleared vendors and
+    every customer's candidate adjacency."""
+    engine = view.engine
+    starts = engine.edges.vendor_starts.tolist()
+    customer_ids = engine.arrays.customer_ids[engine.edges.customer_idx]
+    bases, utilities = engine.pair_bases, engine.utilities()
+    # Private: the level tables are spliced state a migration maintains.
+    tables = {
+        (by, level): table
+        for by, per_level in engine._level_tables.items()
+        for level, table in enumerate(per_level)
+        if table is not None
+    }
+    segments = {}
+    for row, vendor in enumerate(view.vendors):
+        lo, hi = starts[row], starts[row + 1]
+        segments[vendor.vendor_id] = (
+            customer_ids[lo:hi],
+            bases[lo:hi],
+            utilities[lo:hi],
+            {key: np.asarray(table[lo:hi]) for key, table in tables.items()},
+        )
+    return {
+        "segments": segments,
+        "cleared": engine.cleared_vendors,
+        "adjacency": {
+            cid: engine.vendors_in_range(cid) for cid in view.customers_by_id
+        },
+    }
+
+
+def _assert_same_state(spliced, cold, ordered=True):
+    """Bitwise equal engine states.  With ``ordered=False`` a segment
+    may list its customers in another order (a KD-tree's query order
+    depends on the points it was built over)."""
+    assert spliced["cleared"] == cold["cleared"]
+    assert spliced["adjacency"] == cold["adjacency"]
+    assert spliced["segments"].keys() == cold["segments"].keys()
+    for vid, want in cold["segments"].items():
+        got = spliced["segments"][vid]
+        if not ordered:
+            got, want = (_by_customer(seg) for seg in (got, want))
+        for got_col, want_col in zip(got[:3], want[:3]):
+            assert np.array_equal(got_col, want_col), vid
+        assert got[3].keys() == want[3].keys()
+        for key in want[3]:
+            assert np.array_equal(got[3][key], want[3][key]), (vid, key)
+
+
+def _by_customer(segment):
+    order = np.argsort(segment[0], kind="stable")
+    cids, bases, utilities, levels = segment
+    return (
+        cids[order], bases[order], utilities[order],
+        {key: entries[order] for key, entries in levels.items()},
+    )
+
+
+def _cold_state(view):
+    """The view's engine rebuilt from scratch, with the deactivations
+    the delta path applied (a cold build keeps every segment)."""
+    view.drop_engine()
+    view.acquire_engine().warm()
+    view.engine.deactivate_exhausted(
+        [vid for vid in view.vendors_by_id if vid in view.churn.inactive]
+    )
+    return _engine_state(view)
+
+
+def _busiest_cell(problem, plan, shard):
+    """``(cell, vendor ids)`` of the shard's cell holding most vendors."""
+    by_cell = {}
+    for vid in plan.vendor_ids(shard):
+        cell = plan.cell_of(problem.vendors_by_id[vid].location)
+        by_cell.setdefault(cell, []).append(vid)
+    return max(sorted(by_cell.items()), key=lambda item: len(item[1]))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestMigrationCarriesState:
+    """A migration moves each vendor's scored segment between warm
+    views: no customer-index rebuild, no re-scoring, and the result is
+    bitwise a cold rebuild of the destination view."""
+
+    def _warm_plan(self, backend):
+        base = make_problem()
+        problem = MUAAProblem(
+            base.customers, base.vendors, base.ad_types,
+            base.utility_model, spatial_backend=backend,
+        )
+        plan = ShardPlan.build(problem, 4)
+        for shard in range(plan.n_shards):
+            view = plan.problem_for(shard)
+            view.warm_utilities()
+            view.customer_index  # a warm view has its index
+        return problem, plan
+
+    @pytest.mark.parametrize("backend", ["grid", "kdtree"])
+    @pytest.mark.parametrize("dormant", [False, True])
+    def test_migration_matches_cold_rebuild(self, monkeypatch, backend, dormant):
+        problem, plan = self._warm_plan(backend)
+        cell, moved = _busiest_cell(problem, plan, 0)
+        assert len(moved) > 1
+        if dormant:
+            # Mixed: one dormant vendor among live ones.
+            plan.apply_churn(
+                ChurnEvent(kind=KIND_DEACTIVATE, vendor_id=moved[0])
+            )
+        index_builds = _counting(monkeypatch, problem_mod, "build_customer_index")
+        kernel_calls = _counting(monkeypatch, engine_mod, "_kernel_pair_bases")
+        deltas = plan.migrate_cells([cell], src=0, dst=1)
+        assert index_builds == []
+        assert kernel_calls == []
+        assert deltas[1].deactivate == (tuple(moved[:1]) if dormant else ())
+        dst = plan.problem_for(1)
+        for vid in moved:
+            assert vid in dst.vendors_by_id
+        spliced = _engine_state(dst)
+        if dormant:
+            assert moved[0] in spliced["cleared"]
+            assert len(spliced["segments"][moved[0]][0]) == 0
+        monkeypatch.undo()
+        _assert_same_state(
+            spliced, _cold_state(dst), ordered=backend == "grid"
+        )
+
+    def test_deactivated_vendor_stays_dormant_after_migrating(self):
+        problem = make_problem()
+        plan = ShardPlan.build(problem, 4)
+        for shard in range(plan.n_shards):
+            plan.problem_for(shard)
+        vid = plan.vendor_ids(0)[0]
+        plan.apply_churn(ChurnEvent(kind=KIND_DEACTIVATE, vendor_id=vid))
+        cell = plan.cell_of(problem.vendors_by_id[vid].location)
+        plan.migrate_cells([cell], src=0, dst=1)
+        assert vid in problem.churn.inactive
+        dst = plan.problem_for(1)
+        customer = problem.customers_by_id[
+            problem.valid_customer_ids(problem.vendors_by_id[vid])[0]
+        ]
+        assert vid not in dst.valid_vendor_ids(customer)
+
+    def test_worker_copy_matches_the_spliced_view(self):
+        # A forked cluster worker holds a private copy of the view and
+        # gets only the delta: no source engine, so it re-scores, and a
+        # dormant vendor arrives dormant there too.
+        problem, plan = self._warm_plan("grid")
+        cell, moved = _busiest_cell(problem, plan, 0)
+        plan.apply_churn(ChurnEvent(kind=KIND_DEACTIVATE, vendor_id=moved[0]))
+        worker = copy.deepcopy(plan.problem_for(1))
+        worker.churn.inactive.clear()  # forked before the deactivation
+        _, dst_delta = plan.migrate_cells([cell], src=0, dst=1)
+        worker.apply_delta(dst_delta)
+        assert worker.churn.inactive == {moved[0]}
+        view = plan.problem_for(1)
+        assert [v.vendor_id for v in worker.vendors] == [
+            v.vendor_id for v in view.vendors
+        ]
+        _assert_same_state(_engine_state(worker), _engine_state(view))
 
 
 class TestMetadataRoundTrip:

@@ -11,6 +11,7 @@ import pytest
 import repro.serve as serve_pkg
 from repro.algorithms.calibration import calibrate_from_problem
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
+from repro.engine import ComputeEngine
 from repro.obs.recorder import observed
 from repro.serve import (
     ReplayDriver,
@@ -98,6 +99,30 @@ class TestReplayDriver:
         assert result.stats.utility == pytest.approx(
             sequential.total_utility, abs=0
         )
+
+    def test_replay_never_builds_the_efficiency_matrix(self, monkeypatch):
+        # batch_best divides only its gathered utility rows by the type
+        # costs, so a replay never materialises the (E, K) matrix.
+        problem = _problem()
+        algorithm = _algorithm(problem)  # calibration may build it
+        calls = {"efficiencies": 0, "batch_best": 0}
+        for name in calls:
+            original = getattr(ComputeEngine, name)
+
+            def counted(self, *args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(ComputeEngine, name, counted)
+        driver = ReplayDriver(
+            problem, algorithm, config=ServeConfig(max_batch=8, max_wait=0.002)
+        )
+        result = driver.run(
+            build_schedule(problem.customers, rate=200.0, seed=2)
+        )
+        assert result.stats.served == len(problem.customers)
+        assert calls["batch_best"] > 0
+        assert calls["efficiencies"] == 0
 
     def test_deterministic_decisions_across_runs(self):
         def run_once():
