@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

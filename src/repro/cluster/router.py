@@ -56,7 +56,7 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.obs.recorder import recorder
-from repro.stream.simulator import ResilienceStats
+from repro.resilience import ResilienceStats
 
 #: Default degradation ladder, best tier first.
 DEFAULT_LADDER = ("replica", "static", "nearest", "shed")

@@ -116,7 +116,7 @@ def breaker_transition_counts(
 
     Counts the ``resilience.breaker_transition`` instant events by
     dependency and target state -- the trace-side twin of
-    :attr:`~repro.stream.simulator.ResilienceStats.breaker_counts`.
+    :attr:`~repro.resilience.ResilienceStats.breaker_counts`.
     """
     counts: Dict[str, Dict[str, int]] = {}
     for span in spans:

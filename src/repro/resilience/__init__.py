@@ -14,7 +14,7 @@ reorder.  Three pieces compose:
 * :mod:`repro.resilience.broker` -- :class:`ResilientBroker`, the
   hardened simulator with an O-AFA -> static-threshold ->
   nearest-vendor graceful-degradation chain and an idempotent commit
-  path.
+  path.  Its counters land in :class:`ResilienceStats`.
 
 See ``docs/resilience.md`` for the full tour.
 """
@@ -22,6 +22,7 @@ See ``docs/resilience.md`` for the full tour.
 from repro.resilience.broker import (
     GuardedProblem,
     GuardedUtilityModel,
+    ResilienceStats,
     ResilientBroker,
 )
 from repro.resilience.clock import SimulatedClock, SystemClock
@@ -43,6 +44,7 @@ from repro.resilience.policy import (
 __all__ = [
     "GuardedProblem",
     "GuardedUtilityModel",
+    "ResilienceStats",
     "ResilientBroker",
     "SimulatedClock",
     "SystemClock",

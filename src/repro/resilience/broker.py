@@ -22,16 +22,21 @@ is wrapped:
 
 The broker never raises out of :meth:`ResilientBroker.run`: when every
 tier fails for a customer, that decision is abandoned (counted) and the
-stream continues.  All counters land in
-:class:`~repro.stream.simulator.ResilienceStats` on the returned
-:class:`~repro.stream.simulator.StreamResult`.
+stream continues.  All counters land in :class:`ResilienceStats` on the
+returned :class:`~repro.stream.simulator.StreamResult`.
+
+The broker has no per-arrival loop of its own: it runs the simulator's
+(churn, routing, the timed decision, the deadline drop and the commit
+loop) with a guarded view per shard, a decide step that walks the
+chain, and its retrying commit.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import OnlineAlgorithm
 from repro.algorithms.calibration import calibrate_from_problem
@@ -63,7 +68,7 @@ from repro.resilience.policy import (
     RetryPolicy,
 )
 from repro.stream.arrivals import by_arrival_time
-from repro.stream.simulator import ResilienceStats, StreamResult
+from repro.stream.simulator import StreamResult, _run_arrivals
 from repro.utility.model import DelegatingUtilityModel, UtilityModel
 
 logger = logging.getLogger(__name__)
@@ -71,6 +76,119 @@ logger = logging.getLogger(__name__)
 #: Outcome of :meth:`ResilientBroker._commit` when every delivery
 #: attempt failed (beside ``COMMITTED`` and ``REJECTED``).
 _FAILED = "failed"
+
+
+@dataclass
+class ResilienceStats:
+    """Operational counters of one resilient (fault-injected) stream.
+
+    Produced by :class:`ResilientBroker`; plain data, carried on
+    :attr:`StreamResult.resilience`.
+
+    Attributes:
+        retries: Dependency-call retries performed (backoff waits).
+        timeouts: Per-call timeout failures observed.
+        faults_injected: ``"dependency:kind"`` -> injected fault count.
+        breaker_transitions: ``(dependency, time, from, to)`` breaker
+            state changes, in order.
+        breaker_counts: Dependency name -> transitions *into* each
+            breaker state (``"open"`` / ``"half_open"`` / ``"closed"``),
+            e.g. ``{"utility": {"open": 2, "half_open": 2,
+            "closed": 1}}``.  The per-dependency rollup of
+            ``breaker_transitions``, so shard/dependency breaker
+            behaviour is directly assertable.
+        degraded_decisions: Decisions served by a fallback tier rather
+            than the primary algorithm.
+        decisions_by_tier: Tier name -> decisions served by that tier.
+        decisions_abandoned: Customers for whom every tier failed (the
+            broker served no ads but did not crash).
+        duplicates_suppressed: Delivery re-attempts recognised as
+            already-committed (a lost ack would otherwise have
+            double-charged the vendor).
+        deliveries_failed: Decided instances whose commit failed every
+            attempt (the ad was decided but never delivered).
+        arrivals_dropped: Customers lost upstream of the broker.
+        arrivals_reordered: Customers delivered out of arrival order.
+        exhausted_skips: Candidate-scan skips of vendors whose budget
+            was exhausted (the work saved by
+            ``deactivate_exhausted``-style filtering).
+        vendors_deactivated: Vendors auto-deactivated after their
+            remaining budget dropped below the cheapest ad price.
+        churn_epoch: The churn epoch at the end of the run (0 when no
+            churn was applied).
+        clean_latencies: Decision latencies of fault-free decisions.
+        degraded_latencies: Decision latencies of decisions that hit at
+            least one fault, retry, or fallback (the fault-conditioned
+            tail).
+    """
+
+    retries: int = 0
+    timeouts: int = 0
+    faults_injected: Dict[str, int] = field(default_factory=dict)
+    breaker_transitions: List[Tuple[str, float, str, str]] = field(
+        default_factory=list
+    )
+    breaker_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    degraded_decisions: int = 0
+    decisions_by_tier: Dict[str, int] = field(default_factory=dict)
+    decisions_abandoned: int = 0
+    duplicates_suppressed: int = 0
+    deliveries_failed: int = 0
+    arrivals_dropped: int = 0
+    arrivals_reordered: int = 0
+    exhausted_skips: int = 0
+    vendors_deactivated: int = 0
+    churn_epoch: int = 0
+    clean_latencies: List[float] = field(default_factory=list)
+    degraded_latencies: List[float] = field(default_factory=list)
+
+    @property
+    def breaker_opens(self) -> int:
+        """Number of transitions into the open state."""
+        return sum(
+            1 for _, _, _, to_state in self.breaker_transitions
+            if to_state == "open"
+        )
+
+    @property
+    def total_faults(self) -> int:
+        """Total injected faults across dependencies and kinds."""
+        return sum(self.faults_injected.values())
+
+    @staticmethod
+    def count_transitions(
+        transitions: Sequence[Tuple[str, float, str, str]],
+    ) -> Dict[str, Dict[str, int]]:
+        """Roll ``(dep, time, from, to)`` records up into per-dependency
+        counts of transitions into each state."""
+        counts: Dict[str, Dict[str, int]] = {}
+        for name, _, _, to_state in transitions:
+            per = counts.setdefault(name, {})
+            per[to_state] = per.get(to_state, 0) + 1
+        return counts
+
+    def as_extras(self) -> Dict[str, float]:
+        """Flat float counters for :class:`SolveResult` ``extras``."""
+        extras = {
+            "retries": float(self.retries),
+            "timeouts": float(self.timeouts),
+            "faults_injected": float(self.total_faults),
+            "breaker_transitions": float(len(self.breaker_transitions)),
+            "breaker_opens": float(self.breaker_opens),
+            "degraded_decisions": float(self.degraded_decisions),
+            "decisions_abandoned": float(self.decisions_abandoned),
+            "duplicates_suppressed": float(self.duplicates_suppressed),
+            "deliveries_failed": float(self.deliveries_failed),
+            "arrivals_dropped": float(self.arrivals_dropped),
+            "arrivals_reordered": float(self.arrivals_reordered),
+            "exhausted_skips": float(self.exhausted_skips),
+            "vendors_deactivated": float(self.vendors_deactivated),
+            "churn_epoch": float(self.churn_epoch),
+        }
+        for dep in sorted(self.breaker_counts):
+            for state, count in sorted(self.breaker_counts[dep].items()):
+                extras[f"breaker_{state}.{dep}"] = float(count)
+        return extras
 
 
 class GuardedUtilityModel(DelegatingUtilityModel):
@@ -261,7 +379,8 @@ class ResilientBroker:
                 the broker's shard plan when one was supplied, else
                 directly on the pristine problem -- before customer
                 ``t`` is decided.  Guarded views are scalar and cheap,
-                so churn simply rebuilds the ones it touched.
+                so one built before the last event is rebuilt on its
+                next use.
 
         Returns:
             A :class:`StreamResult` whose ``resilience`` field carries
@@ -271,47 +390,76 @@ class ResilientBroker:
         stats = ResilienceStats()
         injector = FaultInjector(plan, clock)
         jitter_rng = random.Random(f"{plan.seed}:jitter")
-        breakers = {
-            name: CircuitBreaker(
+        guards = [
+            DependencyGuard(
                 name,
                 clock,
-                failure_threshold=self._breaker_failure_threshold,
-                recovery_timeout=self._breaker_recovery_timeout,
+                retry=self._retry,
+                breaker=CircuitBreaker(
+                    name,
+                    clock,
+                    failure_threshold=self._breaker_failure_threshold,
+                    recovery_timeout=self._breaker_recovery_timeout,
+                ),
+                timeout=self._call_timeout,
+                rng=jitter_rng,
             )
             for name in ("utility", "spatial")
-        }
-        utility_guard = DependencyGuard(
-            "utility",
-            clock,
-            retry=self._retry,
-            breaker=breakers["utility"],
-            timeout=self._call_timeout,
-            rng=jitter_rng,
-        )
-        spatial_guard = DependencyGuard(
-            "spatial",
-            clock,
-            retry=self._retry,
-            breaker=breakers["spatial"],
-            timeout=self._call_timeout,
-            rng=jitter_rng,
-        )
+        ]
+        utility_guard, spatial_guard = guards
         guarded_model = GuardedUtilityModel(
             FaultyUtilityModel(problem.utility_model, injector), utility_guard
         )
-        guarded_problem = GuardedProblem(
-            problem, guarded_model, injector, spatial_guard
-        )
-        chain = self._build_chain()
-        chain.reset(guarded_problem)
+        # Guarded views of the global problem and of the shard views
+        # decisions actually touch, built lazily; all share the one
+        # guarded model/injector so the fault accounting stays global.
+        # A guarded view copies the entity catalogue, so one built
+        # before the last churn event is rebuilt (scalar views, no
+        # engine -- cheap by construction).
+        guarded: Dict[MUAAProblem, Tuple[int, GuardedProblem]] = {}
 
-        shard_plan = self._shard_plan
-        if shard_plan is not None and shard_plan.is_identity:
-            shard_plan = None  # identity plan == the global problem
-        # Guarded views of the shards a decision actually touches,
-        # built lazily; all share the one guarded model/injector so the
-        # fault accounting stays global.
-        shard_guarded: Dict[int, GuardedProblem] = {}
+        def view(base: MUAAProblem) -> GuardedProblem:
+            epoch = problem.churn.epoch
+            cached = guarded.get(base)
+            if cached is None or cached[0] != epoch:
+                cached = guarded[base] = (
+                    epoch,
+                    GuardedProblem(base, guarded_model, injector, spatial_guard),
+                )
+            return cached[1]
+
+        chain = self._build_chain()
+        chain.reset(view(problem))
+        rec = recorder()
+        #: Per decision, in arrival order: did it hit a fault, a retry
+        #: or a fallback tier?
+        degraded: List[bool] = []
+
+        def decide(target, customer, assignment):
+            faults_before = injector.total_faults
+            retries_before = sum(g.retries for g in guards)
+            try:
+                picked = chain.process_customer(target, customer, assignment)
+            except ResilienceError as exc:
+                stats.decisions_abandoned += 1
+                rec.count("broker.decisions_abandoned")
+                logger.warning(
+                    "every tier failed for customer %d (%s); "
+                    "decision abandoned",
+                    customer.customer_id,
+                    exc,
+                )
+                degraded.append(True)
+                return []
+            fallback = chain.last_tier_used > 0
+            if fallback:
+                rec.count("broker.degraded_decisions")
+            degraded.append(
+                fallback
+                or injector.total_faults > faults_before
+                or sum(g.retries for g in guards) > retries_before
+            )
+            return picked
 
         if arrivals is None:
             arrivals = by_arrival_time(problem.customers)
@@ -327,121 +475,27 @@ class ResilientBroker:
             # exhaustion.
             assignment.min_cost = None
         result = StreamResult(assignment=assignment, resilience=stats)
-        seen = set()
-        rec = recorder()
-        guards = (utility_guard, spatial_guard)
-        base_skips = problem.churn.skips
-        for tick, customer in enumerate(arrivals):
-            if churn is not None:
-                applied = 0
-                for event in churn.at(tick):
-                    if self._shard_plan is not None:
-                        self._shard_plan.apply_churn(event)
-                    else:
-                        problem.apply_churn(event)
-                    applied += 1
-                    rec.count("broker.churn_events")
-                    rec.event(
-                        "broker.churn",
-                        kind=event.kind,
-                        epoch=problem.churn.epoch,
-                    )
-                if applied:
-                    # Guarded views copy the entity catalogue, so a
-                    # structural change rebuilds them (scalar views,
-                    # no engine -- cheap by construction).
-                    guarded_problem = GuardedProblem(
-                        problem, guarded_model, injector, spatial_guard
-                    )
-                    shard_guarded.clear()
-            seen.add(customer.customer_id)
-            faults_before = injector.total_faults
-            retries_before = sum(g.retries for g in guards)
-            target = guarded_problem
-            span_attrs = {"customer": customer.customer_id}
-            if churn is not None:
-                span_attrs["epoch"] = problem.churn.epoch
-            if shard_plan is not None:
-                shard = shard_plan.route(customer)
-                if shard is not None:
-                    target = shard_guarded.get(shard)
-                    if target is None:
-                        target = GuardedProblem(
-                            shard_plan.problem_for(shard),
-                            guarded_model,
-                            injector,
-                            spatial_guard,
-                        )
-                        shard_guarded[shard] = target
-                    span_attrs["shard"] = shard
-                    rec.count("broker.shard_decisions")
-            start = clock()
-            tier: Optional[int] = None
-            with rec.span("broker.decision", **span_attrs):
-                try:
-                    picked = chain.process_customer(
-                        target, customer, assignment
-                    )
-                    tier = chain.last_tier_used
-                except ResilienceError as exc:
-                    stats.decisions_abandoned += 1
-                    picked = []
-                    rec.count("broker.decisions_abandoned")
-                    logger.warning(
-                        "every tier failed for customer %d (%s); "
-                        "decision abandoned",
-                        customer.customer_id,
-                        exc,
-                    )
-            elapsed = clock() - start
-            result.latencies.append(elapsed)
-            rec.observe("broker.decision_seconds", elapsed)
-            if tier is not None and tier > 0:
-                rec.count("broker.degraded_decisions")
-            degraded = (
-                tier is None
-                or tier > 0
-                or injector.total_faults > faults_before
-                or sum(g.retries for g in guards) > retries_before
-            )
-            (stats.degraded_latencies if degraded
+        _run_arrivals(
+            problem,
+            arrivals,
+            result,
+            decide,
+            clock,
+            "broker",
+            view=view,
+            commit=lambda instance: self._commit(
+                instance, assignment, injector, stats, jitter_rng
+            ),
+            decision_deadline=self._decision_deadline,
+            shard_plan=self._shard_plan,
+            churn=churn,
+        )
+        for elapsed, hit in zip(result.latencies, degraded):
+            (stats.degraded_latencies if hit
              else stats.clean_latencies).append(elapsed)
-            if (
-                self._decision_deadline is not None
-                and elapsed > self._decision_deadline
-            ):
-                result.customers_lost += 1
-                rec.count("broker.deadline_drops")
-                logger.info(
-                    "customer %d lost: decision took %.4fs "
-                    "(deadline %.4fs)",
-                    customer.customer_id,
-                    elapsed,
-                    self._decision_deadline,
-                )
-                continue
-            for instance in picked:
-                if instance.customer_id not in seen:
-                    result.rejected_instances += 1
-                    continue
-                exhausted = len(assignment.exhausted)
-                outcome = self._commit(
-                    instance, assignment, injector, stats, jitter_rng
-                )
-                if outcome == REJECTED:
-                    result.rejected_instances += 1
-                elif outcome == _FAILED:
-                    stats.deliveries_failed += 1
-                if len(assignment.exhausted) > exhausted:
-                    stats.vendors_deactivated += 1
-                    rec.count("broker.vendors_deactivated")
-        stats.churn_epoch = problem.churn.epoch
-        stats.exhausted_skips = problem.churn.skips - base_skips
-        result.churn_epoch = stats.churn_epoch
-        result.exhausted_skips = stats.exhausted_skips
-        result.vendors_deactivated = stats.vendors_deactivated
-        if stats.exhausted_skips:
-            rec.gauge("broker.exhausted_skips", stats.exhausted_skips)
+        stats.churn_epoch = result.churn_epoch
+        stats.exhausted_skips = result.exhausted_skips
+        stats.vendors_deactivated = result.vendors_deactivated
         stats.retries += sum(g.retries for g in guards)
         stats.timeouts = sum(g.timeouts for g in guards)
         stats.faults_injected = {
@@ -449,9 +503,9 @@ class ResilientBroker:
             for (dep, kind), count in sorted(injector.counts.items())
         }
         transitions = [
-            (name, when, from_state.value, to_state.value)
-            for name, breaker in breakers.items()
-            for when, from_state, to_state in breaker.transitions
+            (guard.name, when, from_state.value, to_state.value)
+            for guard in guards
+            for when, from_state, to_state in guard.breaker.transitions
         ]
         transitions.sort(key=lambda item: item[1])
         stats.breaker_transitions = transitions
@@ -505,6 +559,7 @@ class ResilientBroker:
                         instance,
                         attempt + 1,
                     )
+                    stats.deliveries_failed += 1
                     return _FAILED
                 stats.retries += 1
                 self._clock.sleep(self._retry.backoff(attempt, rng))

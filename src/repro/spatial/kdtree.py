@@ -62,14 +62,21 @@ class KDTree:
     """
 
     def __init__(self, points: Sequence[Tuple[int, Point]]) -> None:
-        self._size = len(points)
-        self._root = _build(list(points), 0) if points else None
+        # Leaves hold ``(position, point)``: hits come back sorted by
+        # position, so the result order is independent of tree shape.
+        self._ids = [item_id for item_id, _ in points]
+        self._root = (
+            _build([(pos, point) for pos, (_, point) in enumerate(points)], 0)
+            if points
+            else None
+        )
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._ids)
 
     def query_radius(self, center: Point, radius: float) -> List[int]:
-        """Ids of all points within ``radius`` of ``center`` (inclusive)."""
+        """Ids of all points within ``radius`` of ``center`` (inclusive),
+        in the order the points were given to the constructor."""
         if self._root is None or radius < 0:
             return []
         results: List[int] = []
@@ -78,9 +85,9 @@ class KDTree:
         while stack:
             node = stack.pop()
             if node.items is not None:
-                for item_id, point in node.items:
+                for pos, point in node.items:
                     if squared_distance(point, center) <= r2:
-                        results.append(item_id)
+                        results.append(pos)
                 continue
             delta = center[node.axis] - node.split
             # Left subtree holds coordinates <= split, right >= split;
@@ -90,4 +97,5 @@ class KDTree:
                 stack.append(node.left)
             if delta >= -radius:
                 stack.append(node.right)
-        return results
+        ids = self._ids
+        return [ids[pos] for pos in sorted(results)]

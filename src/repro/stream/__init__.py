@@ -12,7 +12,6 @@ from repro.stream.metrics import (
 from repro.stream.simulator import (
     OnlineAsOffline,
     OnlineSimulator,
-    ResilienceStats,
     StreamResult,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "utilisation_summary",
     "OnlineAsOffline",
     "OnlineSimulator",
-    "ResilienceStats",
     "StreamResult",
 ]

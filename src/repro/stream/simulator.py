@@ -5,7 +5,9 @@ customer's ads immediately, seeing only the static vendor state and the
 budgets consumed so far.  The simulator owns the committed assignment
 (so budgets are authoritative), measures per-customer decision latency,
 and can wrap any online algorithm as an offline one for the shared
-experiment harness.
+experiment harness.  Its per-arrival loop is the only one:
+:class:`~repro.resilience.broker.ResilientBroker` drives the same loop
+with its own guarded views, decide step and retrying commit.
 
 All timing flows through an injectable clock (any zero-argument
 callable returning monotonic seconds, e.g.
@@ -18,128 +20,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms.base import OfflineAlgorithm, OnlineAlgorithm, SolveResult
-from repro.core.assignment import COMMITTED, Assignment
+from repro.core.assignment import (
+    COMMITTED,
+    DUPLICATE,
+    REJECTED,
+    AdInstance,
+    Assignment,
+)
 from repro.core.entities import Customer
 from repro.core.problem import MUAAProblem
 from repro.obs.recorder import recorder
 from repro.stream.arrivals import by_arrival_time
 
-
-@dataclass
-class ResilienceStats:
-    """Operational counters of one resilient (fault-injected) stream.
-
-    Produced by :class:`repro.resilience.broker.ResilientBroker`; plain
-    data so the stream layer stays independent of the resilience
-    machinery.
-
-    Attributes:
-        retries: Dependency-call retries performed (backoff waits).
-        timeouts: Per-call timeout failures observed.
-        faults_injected: ``"dependency:kind"`` -> injected fault count.
-        breaker_transitions: ``(dependency, time, from, to)`` breaker
-            state changes, in order.
-        breaker_counts: Dependency name -> transitions *into* each
-            breaker state (``"open"`` / ``"half_open"`` / ``"closed"``),
-            e.g. ``{"utility": {"open": 2, "half_open": 2,
-            "closed": 1}}``.  The per-dependency rollup of
-            ``breaker_transitions``, so shard/dependency breaker
-            behaviour is directly assertable.
-        degraded_decisions: Decisions served by a fallback tier rather
-            than the primary algorithm.
-        decisions_by_tier: Tier name -> decisions served by that tier.
-        decisions_abandoned: Customers for whom every tier failed (the
-            broker served no ads but did not crash).
-        duplicates_suppressed: Delivery re-attempts recognised as
-            already-committed (a lost ack would otherwise have
-            double-charged the vendor).
-        deliveries_failed: Decided instances whose commit failed every
-            attempt (the ad was decided but never delivered).
-        arrivals_dropped: Customers lost upstream of the broker.
-        arrivals_reordered: Customers delivered out of arrival order.
-        exhausted_skips: Candidate-scan skips of vendors whose budget
-            was exhausted (the work saved by
-            ``deactivate_exhausted``-style filtering).
-        vendors_deactivated: Vendors auto-deactivated after their
-            remaining budget dropped below the cheapest ad price.
-        churn_epoch: The churn epoch at the end of the run (0 when no
-            churn was applied).
-        clean_latencies: Decision latencies of fault-free decisions.
-        degraded_latencies: Decision latencies of decisions that hit at
-            least one fault, retry, or fallback (the fault-conditioned
-            tail).
-    """
-
-    retries: int = 0
-    timeouts: int = 0
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-    breaker_transitions: List[Tuple[str, float, str, str]] = field(
-        default_factory=list
-    )
-    breaker_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    degraded_decisions: int = 0
-    decisions_by_tier: Dict[str, int] = field(default_factory=dict)
-    decisions_abandoned: int = 0
-    duplicates_suppressed: int = 0
-    deliveries_failed: int = 0
-    arrivals_dropped: int = 0
-    arrivals_reordered: int = 0
-    exhausted_skips: int = 0
-    vendors_deactivated: int = 0
-    churn_epoch: int = 0
-    clean_latencies: List[float] = field(default_factory=list)
-    degraded_latencies: List[float] = field(default_factory=list)
-
-    @property
-    def breaker_opens(self) -> int:
-        """Number of transitions into the open state."""
-        return sum(
-            1 for _, _, _, to_state in self.breaker_transitions
-            if to_state == "open"
-        )
-
-    @property
-    def total_faults(self) -> int:
-        """Total injected faults across dependencies and kinds."""
-        return sum(self.faults_injected.values())
-
-    @staticmethod
-    def count_transitions(
-        transitions: Sequence[Tuple[str, float, str, str]],
-    ) -> Dict[str, Dict[str, int]]:
-        """Roll ``(dep, time, from, to)`` records up into per-dependency
-        counts of transitions into each state."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for name, _, _, to_state in transitions:
-            per = counts.setdefault(name, {})
-            per[to_state] = per.get(to_state, 0) + 1
-        return counts
-
-    def as_extras(self) -> Dict[str, float]:
-        """Flat float counters for :class:`SolveResult` ``extras``."""
-        extras = {
-            "retries": float(self.retries),
-            "timeouts": float(self.timeouts),
-            "faults_injected": float(self.total_faults),
-            "breaker_transitions": float(len(self.breaker_transitions)),
-            "breaker_opens": float(self.breaker_opens),
-            "degraded_decisions": float(self.degraded_decisions),
-            "decisions_abandoned": float(self.decisions_abandoned),
-            "duplicates_suppressed": float(self.duplicates_suppressed),
-            "deliveries_failed": float(self.deliveries_failed),
-            "arrivals_dropped": float(self.arrivals_dropped),
-            "arrivals_reordered": float(self.arrivals_reordered),
-            "exhausted_skips": float(self.exhausted_skips),
-            "vendors_deactivated": float(self.vendors_deactivated),
-            "churn_epoch": float(self.churn_epoch),
-        }
-        for dep in sorted(self.breaker_counts):
-            for state, count in sorted(self.breaker_counts[dep].items()):
-                extras[f"breaker_{state}.{dep}"] = float(count)
-        return extras
+if TYPE_CHECKING:
+    from repro.resilience.broker import ResilienceStats
 
 
 @dataclass
@@ -168,7 +65,7 @@ class StreamResult:
     latencies: List[float] = field(default_factory=list)
     rejected_instances: int = 0
     customers_lost: int = 0
-    resilience: Optional[ResilienceStats] = None
+    resilience: Optional["ResilienceStats"] = None
     churn_epoch: int = 0
     exhausted_skips: int = 0
     vendors_deactivated: int = 0
@@ -271,140 +168,168 @@ class OnlineSimulator:
                 current location.  The problem and plan are untouched.
         """
         problem = self._problem
-        plan = shard_plan
-        if plan is not None and plan.is_identity:
-            plan = None  # identity plan == the global problem itself
-        if warm_engine:
-            if plan is not None:
-                # Warm shard views instead of the global table; the
-                # views stay resident for per-decision lookups.
-                for shard in range(plan.n_shards):
-                    plan.problem_for(shard).warm_utilities()
-            else:
-                problem.warm_utilities()
         if arrivals is None:
             arrivals = by_arrival_time(problem.customers)
-        assignment = problem.new_assignment()
-        result = StreamResult(assignment=assignment)
+        result = StreamResult(assignment=problem.new_assignment())
         algorithm.reset(problem)
-        #: Customer id -> this run's entity of a relocated customer.
-        relocated: Dict[int, Customer] = {}
-
-        # Decisions may be deferred (micro-batching), so an instance is
-        # admissible for any customer that has *already arrived* -- but
-        # never for a future or unknown one, which would break the
-        # online model.
-        seen = set()
-        rec = recorder()
-        timed = measure_latency or decision_deadline is not None
-        base_skips = problem.churn.skips
-        for tick, customer in enumerate(arrivals):
-            if churn is not None:
-                # Events flow through the plan even when it is the
-                # identity one, so its churn log/epoch stay correct for
-                # cluster replay.
-                self._apply_churn(
-                    churn.at(tick),
-                    shard_plan,
-                    plan,
-                    churn_cold_rebuild,
-                    warm_engine,
-                )
-            if moves is not None:
-                for moved in moves.relocate(
-                    tick, relocated, problem.customers_by_id
-                ):
-                    rec.count("stream.customer_moves")
-                    rec.event("stream.move", customer=moved)
-                customer = relocated.get(customer.customer_id, customer)
-            seen.add(customer.customer_id)
-            target = problem
-            span_attrs = {"customer": customer.customer_id}
-            if churn is not None:
-                span_attrs["epoch"] = problem.churn.epoch
-            if plan is not None:
-                shard = plan.route(customer)
-                if shard is not None:
-                    target = plan.problem_for(shard)
-                    span_attrs["shard"] = shard
-                    rec.count("stream.shard_decisions")
-            if timed:
-                start = self._clock()
-            with rec.span("stream.decision", **span_attrs):
-                picked = algorithm.process_customer(
-                    target, customer, assignment
-                )
-            if timed:
-                elapsed = self._clock() - start
-                rec.observe("stream.decision_seconds", elapsed)
-                if measure_latency:
-                    result.latencies.append(elapsed)
-                if (
-                    decision_deadline is not None
-                    and elapsed > decision_deadline
-                ):
-                    result.customers_lost += 1
-                    rec.count("stream.deadline_drops")
-                    continue  # customer went inactive; ads dropped
-            for instance in picked:
-                # A plain stream delivers each decision once, so an
-                # instance for a customer yet to arrive, or a repeated
-                # pair, counts as rejected.
-                if (
-                    instance.customer_id in seen
-                    and assignment.commit(instance) == COMMITTED
-                ):
-                    rec.count("stream.budget_commits")
-                    # A committed vendor was affordable before, so this
-                    # commit is the one that exhausted it.
-                    if instance.vendor_id in assignment.exhausted:
-                        result.vendors_deactivated += 1
-                        rec.count("stream.vendors_deactivated")
-                else:
-                    result.rejected_instances += 1
-                    rec.count("stream.rejected_instances")
-        result.churn_epoch = problem.churn.epoch
-        result.exhausted_skips = problem.churn.skips - base_skips
-        if result.exhausted_skips:
-            rec.gauge("stream.exhausted_skips", result.exhausted_skips)
+        _run_arrivals(
+            problem,
+            arrivals,
+            result,
+            algorithm.process_customer,
+            self._clock,
+            measure_latency=measure_latency,
+            decision_deadline=decision_deadline,
+            warm_engine=warm_engine,
+            shard_plan=shard_plan,
+            churn=churn,
+            churn_cold_rebuild=churn_cold_rebuild,
+            moves=moves,
+        )
         return result
 
-    def _apply_churn(
-        self, events, churn_plan, plan, cold_rebuild: bool, warm_engine: bool
-    ) -> None:
-        """Apply churn events due at one arrival tick.
 
-        ``churn_plan`` is the plan the events commit through (possibly
-        the identity plan, whose log must still advance); ``plan`` is
-        the routing plan (``None`` when decisions run unsharded).
-        """
-        if not events:
-            return
-        problem = self._problem
-        rec = recorder()
-        for event in events:
-            if churn_plan is not None:
-                churn_plan.apply_churn(event)
-            else:
-                problem.apply_churn(event)
-            rec.count("stream.churn_events")
-            rec.event(
-                "stream.churn",
-                kind=event.kind,
-                epoch=problem.churn.epoch,
+def _warm(problem: MUAAProblem, plan) -> None:
+    """Build the candidate table the stream's lookups will ride: the
+    shard views' (which stay resident) or the global problem's."""
+    if plan is None:
+        problem.warm_utilities()
+        return
+    for shard in range(plan.n_shards):
+        plan.problem_for(shard).warm_utilities()
+
+
+def _run_arrivals(
+    problem: MUAAProblem,
+    arrivals: Sequence[Customer],
+    result: StreamResult,
+    decide: Callable[[MUAAProblem, Customer, Assignment], List[AdInstance]],
+    clock: Callable[[], float],
+    prefix: str = "stream",
+    *,
+    view: Optional[Callable[[MUAAProblem], MUAAProblem]] = None,
+    commit: Optional[Callable[[AdInstance], str]] = None,
+    measure_latency: bool = True,
+    decision_deadline: Optional[float] = None,
+    warm_engine: bool = False,
+    shard_plan=None,
+    churn=None,
+    churn_cold_rebuild: bool = False,
+    moves=None,
+) -> None:
+    """Serve ``arrivals`` one at a time into ``result``: the online
+    protocol of Section IV, shared by :meth:`OnlineSimulator.run` and
+    :meth:`~repro.resilience.broker.ResilientBroker.run`.
+
+    Per arrival: apply the churn events and moves due at its index,
+    route it, time ``decide(target, customer, assignment)``, lose the
+    customer when the decision overran ``decision_deadline``, else
+    ``commit`` each picked instance.  ``target`` is the routed shard's
+    view (else ``problem``), passed through ``view`` when given.
+    ``commit`` defaults to :meth:`Assignment.commit`; an outcome other
+    than committed, duplicate or rejected (a failed delivery) is the
+    caller's to count.  The other arguments are
+    :meth:`OnlineSimulator.run`'s; spans and counters are named
+    ``<prefix>.*``.
+    """
+    plan = shard_plan
+    if plan is not None and plan.is_identity:
+        plan = None  # identity plan == the global problem itself
+    if warm_engine:
+        _warm(problem, plan)
+    assignment = result.assignment
+    if commit is None:
+        commit = assignment.commit
+    # Events flow through the plan even when it is the identity one, so
+    # its churn log/epoch stay correct for cluster replay.
+    churn_target = shard_plan if shard_plan is not None else problem
+    #: Customer id -> this run's entity of a relocated customer.
+    relocated: Dict[int, Customer] = {}
+
+    # Decisions may be deferred (micro-batching), so an instance is
+    # admissible for any customer that has *already arrived* -- but
+    # never for a future or unknown one, which would break the online
+    # model.
+    seen = set()
+    rec = recorder()
+    # Per-arrival names, formatted once.
+    span, seconds, shard_count, commits, rejects, deactivations = (
+        f"{prefix}.{name}"
+        for name in (
+            "decision", "decision_seconds", "shard_decisions",
+            "budget_commits", "rejected_instances", "vendors_deactivated",
+        )
+    )
+    timed = measure_latency or decision_deadline is not None
+    base_skips = problem.churn.skips
+    for tick, customer in enumerate(arrivals):
+        if churn is not None:
+            events = churn.at(tick)
+            for event in events:
+                churn_target.apply_churn(event)
+                rec.count(f"{prefix}.churn_events")
+                rec.event(
+                    f"{prefix}.churn", kind=event.kind, epoch=problem.churn.epoch
+                )
+            if events and churn_cold_rebuild:
+                # Parity reference: tear every incremental structure
+                # down and rebuild from scratch.
+                if plan is not None:
+                    plan.release_all()
+                else:
+                    problem.drop_engine()
+                if warm_engine:
+                    _warm(problem, plan)
+        if moves is not None:
+            for moved in moves.relocate(tick, relocated, problem.customers_by_id):
+                rec.count(f"{prefix}.customer_moves")
+                rec.event(f"{prefix}.move", customer=moved)
+            customer = relocated.get(customer.customer_id, customer)
+        seen.add(customer.customer_id)
+        target = problem
+        span_attrs = {"customer": customer.customer_id}
+        if churn is not None:
+            span_attrs["epoch"] = problem.churn.epoch
+        if plan is not None:
+            shard = plan.route(customer)
+            if shard is not None:
+                target = plan.problem_for(shard)
+                span_attrs["shard"] = shard
+                rec.count(shard_count)
+        if view is not None:
+            target = view(target)
+        if timed:
+            start = clock()
+        with rec.span(span, **span_attrs):
+            picked = decide(target, customer, assignment)
+        if timed:
+            elapsed = clock() - start
+            rec.observe(seconds, elapsed)
+            if measure_latency:
+                result.latencies.append(elapsed)
+            if decision_deadline is not None and elapsed > decision_deadline:
+                result.customers_lost += 1
+                rec.count(f"{prefix}.deadline_drops")
+                continue  # customer went inactive; ads dropped
+        for instance in picked:
+            # Each decision is delivered once, so an instance for a
+            # customer yet to arrive, or a repeated pair, is rejected.
+            exhausted = len(assignment.exhausted)
+            outcome = (
+                commit(instance) if instance.customer_id in seen else REJECTED
             )
-        if cold_rebuild:
-            # Parity reference: tear every incremental structure down
-            # and rebuild from scratch.
-            if plan is not None:
-                plan.release_all()
-                if warm_engine:
-                    for shard in range(plan.n_shards):
-                        plan.problem_for(shard).warm_utilities()
-            else:
-                problem.drop_engine()
-                if warm_engine:
-                    problem.warm_utilities()
+            if outcome == COMMITTED:
+                rec.count(commits)
+            elif outcome in (DUPLICATE, REJECTED):
+                result.rejected_instances += 1
+                rec.count(rejects)
+            if len(assignment.exhausted) > exhausted:
+                result.vendors_deactivated += 1
+                rec.count(deactivations)
+    result.churn_epoch = problem.churn.epoch
+    result.exhausted_skips = problem.churn.skips - base_skips
+    if result.exhausted_skips:
+        rec.gauge(f"{prefix}.exhausted_skips", result.exhausted_skips)
 
 
 class OnlineAsOffline(OfflineAlgorithm):

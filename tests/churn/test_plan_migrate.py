@@ -184,31 +184,18 @@ def _engine_state(view):
     }
 
 
-def _assert_same_state(spliced, cold, ordered=True):
-    """Bitwise equal engine states.  With ``ordered=False`` a segment
-    may list its customers in another order (a KD-tree's query order
-    depends on the points it was built over)."""
+def _assert_same_state(spliced, cold):
+    """Bitwise equal engine states."""
     assert spliced["cleared"] == cold["cleared"]
     assert spliced["adjacency"] == cold["adjacency"]
     assert spliced["segments"].keys() == cold["segments"].keys()
     for vid, want in cold["segments"].items():
         got = spliced["segments"][vid]
-        if not ordered:
-            got, want = (_by_customer(seg) for seg in (got, want))
         for got_col, want_col in zip(got[:3], want[:3]):
             assert np.array_equal(got_col, want_col), vid
         assert got[3].keys() == want[3].keys()
         for key in want[3]:
             assert np.array_equal(got[3][key], want[3][key]), (vid, key)
-
-
-def _by_customer(segment):
-    order = np.argsort(segment[0], kind="stable")
-    cids, bases, utilities, levels = segment
-    return (
-        cids[order], bases[order], utilities[order],
-        {key: entries[order] for key, entries in levels.items()},
-    )
 
 
 def _cold_state(view):
@@ -286,9 +273,7 @@ class TestMigrationCarriesState:
             assert moved[0] in spliced["cleared"]
             assert len(spliced["segments"][moved[0]][0]) == 0
         monkeypatch.undo()
-        _assert_same_state(
-            spliced, _cold_state(dst), ordered=backend == "grid"
-        )
+        _assert_same_state(spliced, _cold_state(dst))
 
     def test_deactivated_vendor_stays_dormant_after_migrating(self):
         problem = make_problem()

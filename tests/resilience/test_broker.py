@@ -6,7 +6,9 @@ import pytest
 
 from repro.algorithms.fallback import FallbackChain, FallbackTier
 from repro.algorithms.nearest import NearestVendor
+from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.algorithms.online_static import OnlineStaticThreshold
+from repro.churn import seeded_vendor_churn
 from repro.core.validation import validate_assignment
 from repro.datagen.tabular import random_tabular_problem
 from repro.exceptions import TransientError
@@ -14,7 +16,9 @@ from repro.resilience.broker import ResilientBroker
 from repro.resilience.clock import SimulatedClock
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.policy import RetryPolicy
+from repro.sharding import ShardPlan
 from repro.stream.simulator import OnlineSimulator
+from tests.churn.conftest import make_problem, triples
 
 
 @pytest.fixture
@@ -22,7 +26,54 @@ def problem():
     return random_tabular_problem(seed=4, n_customers=30, n_vendors=5)
 
 
+def _fault_free_run(serve, shards, churned):
+    """One O-AFA stream on a fresh problem and plan (churn changes
+    both persistently), served by ``serve(problem, algorithm, plan,
+    churn)``."""
+    problem = make_problem()
+    plan = ShardPlan.build(problem, shards) if shards > 1 else None
+    churn = (
+        seeded_vendor_churn(
+            problem, 12, seed=23, n_ticks=len(problem.customers), plan=plan
+        )
+        if churned
+        else None
+    )
+    algorithm = OnlineAdaptiveFactorAware(gamma_min=0.05, g=4.0)
+    return serve(problem, algorithm, plan, churn)
+
+
 class TestFaultFreeParity:
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("churned", [False, True])
+    def test_same_decisions_and_counters_as_simulator(self, shards, churned):
+        plain = _fault_free_run(
+            lambda problem, algorithm, plan, churn: OnlineSimulator(
+                problem
+            ).run(algorithm, shard_plan=plan, churn=churn),
+            shards,
+            churned,
+        )
+        resilient = _fault_free_run(
+            lambda problem, algorithm, plan, churn: ResilientBroker(
+                problem, primary=algorithm, shard_plan=plan
+            ).run(churn=churn),
+            shards,
+            churned,
+        )
+        assert triples(resilient.assignment) == triples(plain.assignment)
+        assert resilient.rejected_instances == plain.rejected_instances
+        assert resilient.customers_lost == plain.customers_lost
+        assert resilient.churn_epoch == plain.churn_epoch
+        if churned:
+            assert resilient.vendors_deactivated == plain.vendors_deactivated
+            assert resilient.exhausted_skips == plain.exhausted_skips
+        else:
+            # A churn-free broker run tracks no exhaustion (its fault
+            # draws follow every in-range vendor scan).
+            assert resilient.vendors_deactivated == 0
+            assert resilient.exhausted_skips == 0
+
     def test_matches_plain_simulator_with_same_primary(self, problem):
         primary = OnlineStaticThreshold(0.0)
         plain = OnlineSimulator(problem).run(OnlineStaticThreshold(0.0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import euclidean
+from repro.spatial.geometry import euclidean, squared_distance
 from repro.spatial.kdtree import KDTree
 
 
@@ -90,3 +90,28 @@ class TestAgainstGrid:
             assert sorted(tree.query_radius(center, radius)) == sorted(
                 grid.query_radius(center, radius)
             )
+
+
+class TestHitOrder:
+    def test_hits_follow_constructor_order_whatever_the_tree_shape(self):
+        # The same points under shuffled ids and a grown point list
+        # build differently shaped trees; each query still lists its
+        # hits in the order the points were given, as a linear scan
+        # (and a cold rebuild) would.
+        rng = np.random.default_rng(9)
+        xy = rng.uniform(size=(300, 2))
+        ids = rng.permutation(1_000)[:300].tolist()
+        points = [(ids[i], tuple(xy[i])) for i in range(300)]
+        small, grown = KDTree(points[:200]), KDTree(points)
+        for _ in range(30):
+            center = tuple(rng.uniform(size=2))
+            radius = float(rng.uniform(0.05, 0.4))
+            scan = [
+                item_id
+                for item_id, p in points
+                if squared_distance(p, center) <= radius * radius
+            ]
+            assert grown.query_radius(center, radius) == scan
+            assert small.query_radius(center, radius) == [
+                item_id for item_id in scan if ids.index(item_id) < 200
+            ]
