@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Moving customers: snapshots, safe regions, and a day of assignments.
+"""Moving customers: one check-in trajectory, served online.
 
-Section II defines MUAA over the customer set *at a timestamp*; real
-customers move.  This example builds a moving world (random-waypoint
-trajectories over a static vendor city), shows how CALBA-style safe
-regions keep the continuous "which vendors can reach me?" query cheap,
-and solves an hourly sequence of MUAA snapshots to show how assignment
-opportunities shift with the time of day (diurnal tag activity).
+Section II defines MUAA over the customers *at a timestamp*, and real
+customers move.  This example turns a check-in feed into the
+AdCell-style evolving-location workload: each user becomes one customer
+at their first check-in, and every later check-in becomes a scheduled
+move (a :class:`~repro.scenario.trajectory.MoveSchedule`).  O-AFA then
+serves the stream twice -- through the sequential simulator and
+through the micro-batching replay driver -- and each arriving customer
+is decided once, at its current location.
+
+The two paths must commit the same ads under the same schedule; the
+script exits non-zero if they do not.
 
 Run:
     python examples/moving_customers.py
@@ -14,109 +19,73 @@ Run:
 
 from __future__ import annotations
 
-import time as _time
+import sys
 
-import numpy as np
+from repro.algorithms.calibration import calibrate_from_problem
+from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
+from repro.datagen import simulate_checkins
+from repro.datagen.trajectories import trajectory_from_checkins
+from repro.serve import ReplayDriver, ServeConfig, build_schedule
+from repro.stream import OnlineSimulator
 
-from repro import Vendor, Customer, default_ad_types
-from repro.algorithms.greedy import GreedyEfficiency
-from repro.taxonomy import foursquare_taxonomy, interest_vector, vendor_vector
-from repro.temporal import (
-    SafeRegionTracker,
-    TemporalWorld,
-    brute_force_valid_vendors,
-    trajectories_for,
-)
-from repro.utility.activity import ActivityModel
+#: Replay batch size checked against the sequential stream.
+BATCH_SPLIT = 7
 
 
-def build_world(n_customers=60, n_vendors=120, seed=5) -> TemporalWorld:
-    tax = foursquare_taxonomy()
-    rng = np.random.default_rng(seed)
-    leaves = tax.leaves()
-    customers = [
-        Customer(
-            customer_id=i,
-            location=(0.0, 0.0),
-            capacity=2,
-            view_probability=float(rng.uniform(0.2, 0.6)),
-            interests=interest_vector(
-                tax,
-                {
-                    leaves[int(c)]: int(n)
-                    for c, n in zip(
-                        rng.choice(len(leaves), size=4, replace=False),
-                        rng.integers(1, 6, size=4),
-                    )
-                },
-            ),
-        )
-        for i in range(n_customers)
-    ]
-    vendors = [
-        Vendor(
-            vendor_id=j,
-            location=(float(rng.uniform()), float(rng.uniform())),
-            radius=float(rng.uniform(0.05, 0.12)),
-            budget=8.0,
-            tags=vendor_vector(tax, leaves[int(rng.integers(len(leaves)))]),
-        )
-        for j in range(n_vendors)
-    ]
-    return TemporalWorld(
-        customers=customers,
-        trajectories=trajectories_for(n_customers, seed=seed),
-        vendors=vendors,
-        ad_types=list(default_ad_types()),
-        activity_model=ActivityModel.diurnal(tax),
+def triples(assignment):
+    return sorted(
+        (i.customer_id, i.vendor_id, i.type_id) for i in assignment
     )
 
 
-def demo_safe_regions(world: TemporalWorld) -> None:
-    print("Continuous valid-vendor queries (1,200 ticks x 60 customers):")
-    ticks = np.linspace(0.0, 24.0, 1_200)
-
-    start = _time.perf_counter()
-    tracker = SafeRegionTracker(world.vendors)
-    for t in ticks:
-        for cid, trajectory in enumerate(world.trajectories):
-            tracker.valid_vendors(cid, trajectory.position(float(t)))
-    tracked = _time.perf_counter() - start
-
-    start = _time.perf_counter()
-    for t in ticks[:: 10]:  # brute force is slow; sample a tenth
-        for trajectory in world.trajectories:
-            brute_force_valid_vendors(
-                world.vendors, trajectory.position(float(t))
-            )
-    brute = (_time.perf_counter() - start) * 10
-
-    print(f"  safe regions: {tracked:.2f}s "
-          f"(hit rate {tracker.stats.hit_rate:.1%})")
-    print(f"  full rescans: ~{brute:.2f}s  "
-          f"-> {brute / tracked:.1f}x saved")
-
-
-def demo_daily_snapshots(world: TemporalWorld) -> None:
-    print("\nHourly MUAA snapshots (GREEDY per snapshot):")
-    results = world.solve_over_day(
-        GreedyEfficiency, times=[float(h) for h in range(0, 24, 3)]
+def main() -> int:
+    feed = simulate_checkins(
+        n_users=300, n_venues=400, n_checkins=12_000, seed=5
     )
-    print("  hour   ads   utility")
-    for hour, result in results:
-        bar = "#" * int(result.total_utility / 20)
-        print(f"  {int(hour):02d}:00 {len(result.assignment):5d} "
-              f"{result.total_utility:9.2f}  {bar}")
-    peak_hour, peak = max(results, key=lambda tr: tr[1].total_utility)
-    print(f"  peak at {int(peak_hour):02d}:00 "
-          f"(diurnal tag activity shifts which pairs are attractive)")
+    problem, schedule = trajectory_from_checkins(feed, seed=5)
+    moved = {move.customer_id for move in schedule.moves}
+    print(f"Check-in trajectories: {len(problem.customers)} customers, "
+          f"{len(problem.vendors)} vendors, {len(schedule)} scheduled "
+          f"moves by {len(moved)} customers")
 
+    bounds = calibrate_from_problem(problem, seed=0)
 
-def main() -> None:
-    world = build_world()
-    demo_safe_regions(world)
-    demo_daily_snapshots(world)
+    def o_afa():
+        return OnlineAdaptiveFactorAware(
+            gamma_min=bounds.gamma_min, g=bounds.g
+        )
+
+    static = OnlineSimulator(problem).run(o_afa())
+    moving = OnlineSimulator(problem).run(o_afa(), moves=schedule)
+    driver = ReplayDriver(
+        problem,
+        o_afa(),
+        ServeConfig(
+            max_batch=BATCH_SPLIT, queue_depth=len(problem.customers)
+        ),
+        moves=schedule,
+    )
+    served = driver.run(
+        build_schedule(problem.customers, rate=2_000.0, seed=5)
+    )
+
+    print("\nO-AFA utility        ads   utility")
+    print(f"  static snapshot {len(static.assignment):6d} "
+          f"{static.total_utility:9.3f}")
+    print(f"  moving (stream) {len(moving.assignment):6d} "
+          f"{moving.total_utility:9.3f}")
+    print(f"  moving (replay) {len(driver.scorer.assignment):6d} "
+          f"{driver.scorer.assignment.total_utility:9.3f}  "
+          f"({served.stats.batches} batches of <= {BATCH_SPLIT})")
+
+    if triples(moving.assignment) != triples(driver.scorer.assignment):
+        print(f"\nFAIL: stream and replay at batch split {BATCH_SPLIT} "
+              "committed different ads under the same move schedule")
+        return 1
+    print(f"\nstream and replay at batch split {BATCH_SPLIT} agree on "
+          "every (customer, vendor, ad type)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -56,14 +56,14 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.obs.recorder import recorder
-from repro.resilience import ResilienceStats
+from repro.resilience.policy import BreakerHistory
 
 #: Default degradation ladder, best tier first.
 DEFAULT_LADDER = ("replica", "static", "nearest", "shed")
 
 
 @dataclass
-class ClusterStats:
+class ClusterStats(BreakerHistory):
     """Counters and rollups of one cluster episode.
 
     ``decisions_by_path`` keys are ``shard`` (a worker decided),
@@ -88,7 +88,6 @@ class ClusterStats:
     breaker_transitions: List[Tuple[str, float, str, str]] = field(
         default_factory=list
     )
-    breaker_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     shard_health: Dict[int, str] = field(default_factory=dict)
     router_latencies: List[float] = field(default_factory=list, repr=False)
 
@@ -103,13 +102,6 @@ class ClusterStats:
             count
             for path, count in self.decisions_by_path.items()
             if path not in ("shard", "local")
-        )
-
-    @property
-    def breaker_opens(self) -> int:
-        return sum(
-            1 for _, _, _, to_state in self.breaker_transitions
-            if to_state == "open"
         )
 
     def as_extras(self) -> Dict[str, float]:
@@ -133,11 +125,7 @@ class ClusterStats:
             extras[f"cluster_path.{path}"] = float(
                 self.decisions_by_path[path]
             )
-        for dep in sorted(self.breaker_counts):
-            for state in sorted(self.breaker_counts[dep]):
-                extras[f"cluster_breaker_{state}.{dep}"] = float(
-                    self.breaker_counts[dep][state]
-                )
+        extras.update(self.breaker_extras("cluster_"))
         return extras
 
 
@@ -443,9 +431,6 @@ class ClusterRouter:
         """Fold control-plane and chaos rollups into the stats."""
         stats = self.stats
         stats.breaker_transitions = self._control.breaker_transitions()
-        stats.breaker_counts = ResilienceStats.count_transitions(
-            stats.breaker_transitions
-        )
         stats.shard_health = self._control.health_card()
         stats.heartbeats = self._control.heartbeats
         stats.heartbeats_missed = self._control.heartbeats_missed

@@ -190,6 +190,73 @@ def simulate_checkins(
     return CheckinDataset(records=tuple(records), taxonomy=taxonomy)
 
 
+def _kept_venues(dataset: CheckinDataset, min_venue_checkins: int) -> List[int]:
+    """Venue ids passing the paper's check-in count filter, sorted."""
+    venue_counts = Counter(r.venue_id for r in dataset.records)
+    return sorted(
+        vid for vid, count in venue_counts.items()
+        if count >= min_venue_checkins
+    )
+
+
+def _venue_vendors(
+    dataset: CheckinDataset,
+    kept_venues: List[int],
+    config: WorkloadConfig,
+    rng: np.random.Generator,
+) -> List[Vendor]:
+    """One vendor per kept venue, at the venue's location and tagged
+    with its category; budgets, then radii, are drawn from ``rng``."""
+    budgets = config.budget_range.sample(rng, len(kept_venues))
+    radii = config.radius_range.sample(rng, len(kept_venues))
+    kept_set = set(kept_venues)
+    venue_meta: Dict[int, CheckinRecord] = {}
+    for record in dataset.records:
+        if record.venue_id in kept_set and record.venue_id not in venue_meta:
+            venue_meta[record.venue_id] = record
+    return [
+        Vendor(
+            vendor_id=index,
+            location=venue_meta[vid].location,
+            radius=float(radii[index]),
+            budget=float(budgets[index]),
+            tags=vendor_vector(dataset.taxonomy, venue_meta[vid].category),
+        )
+        for index, vid in enumerate(kept_venues)
+    ]
+
+
+def _jittered(
+    location: Tuple[float, float], offset: np.ndarray
+) -> Tuple[float, float]:
+    """A venue location offset into the venue's neighbourhood, clipped
+    to the unit square."""
+    return (
+        float(min(1.0, max(0.0, location[0] + offset[0]))),
+        float(min(1.0, max(0.0, location[1] + offset[1]))),
+    )
+
+
+def _checkin_problem(
+    customers: List[Customer],
+    vendors: List[Vendor],
+    taxonomy: Taxonomy,
+    diurnal: bool,
+) -> MUAAProblem:
+    """The MUAA instance over converted check-ins, with the diurnal (or
+    uniform) activity model driving utilities."""
+    activity = (
+        ActivityModel.diurnal(taxonomy) if diurnal
+        else ActivityModel.uniform(taxonomy)
+    )
+    return MUAAProblem(
+        customers=customers,
+        vendors=vendors,
+        ad_types=list(default_ad_types()),
+        utility_model=TaxonomyUtilityModel(activity),
+    )
+
+
 def problem_from_checkins(
     dataset: CheckinDataset,
     config: Optional[WorkloadConfig] = None,
@@ -230,11 +297,7 @@ def problem_from_checkins(
     taxonomy = dataset.taxonomy
     rng = np.random.default_rng(seed)
 
-    venue_counts = Counter(r.venue_id for r in dataset.records)
-    kept_venues = sorted(
-        vid for vid, count in venue_counts.items()
-        if count >= min_venue_checkins
-    )
+    kept_venues = _kept_venues(dataset, min_venue_checkins)
     if max_vendors is not None and len(kept_venues) > max_vendors:
         picks = rng.choice(len(kept_venues), size=max_vendors, replace=False)
         kept_venues = sorted(kept_venues[i] for i in picks)
@@ -254,23 +317,7 @@ def problem_from_checkins(
         for user, history in histories.items()
     }
 
-    n_vendors = len(kept_venues)
-    budgets = config.budget_range.sample(rng, n_vendors)
-    radii = config.radius_range.sample(rng, n_vendors)
-    venue_meta: Dict[int, CheckinRecord] = {}
-    for record in dataset.records:
-        if record.venue_id in kept_set and record.venue_id not in venue_meta:
-            venue_meta[record.venue_id] = record
-    vendors = [
-        Vendor(
-            vendor_id=index,
-            location=venue_meta[vid].location,
-            radius=float(radii[index]),
-            budget=float(budgets[index]),
-            tags=vendor_vector(taxonomy, venue_meta[vid].category),
-        )
-        for index, vid in enumerate(kept_venues)
-    ]
+    vendors = _venue_vendors(dataset, kept_venues, config, rng)
 
     m = len(kept_records)
     capacities = config.capacity_range.sample_int(rng, m)
@@ -279,10 +326,7 @@ def problem_from_checkins(
     customers = [
         Customer(
             customer_id=i,
-            location=(
-                float(min(1.0, max(0.0, record.location[0] + jitter[i, 0]))),
-                float(min(1.0, max(0.0, record.location[1] + jitter[i, 1]))),
-            ),
+            location=_jittered(record.location, jitter[i]),
             capacity=int(max(1, capacities[i])),
             view_probability=float(probabilities[i]),
             interests=user_vectors[record.user_id],
@@ -290,14 +334,4 @@ def problem_from_checkins(
         )
         for i, record in enumerate(kept_records)
     ]
-
-    activity = (
-        ActivityModel.diurnal(taxonomy) if diurnal
-        else ActivityModel.uniform(taxonomy)
-    )
-    return MUAAProblem(
-        customers=customers,
-        vendors=vendors,
-        ad_types=list(default_ad_types()),
-        utility_model=TaxonomyUtilityModel(activity),
-    )
+    return _checkin_problem(customers, vendors, taxonomy, diurnal)

@@ -17,29 +17,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.entities import Customer, Vendor
+from repro.core.entities import Customer
 from repro.core.problem import MUAAProblem
-from repro.datagen.checkins import MIN_VENUE_CHECKINS, CheckinDataset
-from repro.datagen.config import WorkloadConfig, default_ad_types
+from repro.datagen.checkins import (
+    MIN_VENUE_CHECKINS,
+    CheckinDataset,
+    _checkin_problem,
+    _jittered,
+    _kept_venues,
+    _venue_vendors,
+)
+from repro.datagen.config import WorkloadConfig
 from repro.scenario.trajectory import CustomerMove, MoveSchedule
-from repro.taxonomy.interest import interest_vector, vendor_vector
-from repro.utility.activity import ActivityModel
-from repro.utility.model import TaxonomyUtilityModel
+from repro.taxonomy.interest import interest_vector
 
 __all__ = ["trajectory_from_checkins"]
-
-
-def _jittered(
-    location: Tuple[float, float],
-    jitter: np.ndarray,
-) -> Tuple[float, float]:
-    """A venue location offset into the venue's neighbourhood, clipped
-    to the unit square (same rationale as ``problem_from_checkins``:
-    a customer is near, not inside, the venue)."""
-    return (
-        float(min(1.0, max(0.0, location[0] + jitter[0]))),
-        float(min(1.0, max(0.0, location[1] + jitter[1]))),
-    )
 
 
 def trajectory_from_checkins(
@@ -79,12 +71,8 @@ def trajectory_from_checkins(
     taxonomy = dataset.taxonomy
     rng = np.random.default_rng(seed)
 
-    venue_counts = Counter(r.venue_id for r in dataset.records)
-    kept_set = {
-        vid for vid, count in venue_counts.items()
-        if count >= min_venue_checkins
-    }
-    kept_venues = sorted(kept_set)
+    kept_venues = _kept_venues(dataset, min_venue_checkins)
+    kept_set = set(kept_venues)
 
     # Per-user retained check-in sequences, in feed order.
     sequences: Dict[int, List] = defaultdict(list)
@@ -102,23 +90,7 @@ def trajectory_from_checkins(
     for record in dataset.records:
         histories[record.user_id][record.category] += 1
 
-    n_vendors = len(kept_venues)
-    budgets = config.budget_range.sample(rng, n_vendors)
-    radii = config.radius_range.sample(rng, n_vendors)
-    venue_meta = {}
-    for record in dataset.records:
-        if record.venue_id in kept_set and record.venue_id not in venue_meta:
-            venue_meta[record.venue_id] = record
-    vendors = [
-        Vendor(
-            vendor_id=index,
-            location=venue_meta[vid].location,
-            radius=float(radii[index]),
-            budget=float(budgets[index]),
-            tags=vendor_vector(taxonomy, venue_meta[vid].category),
-        )
-        for index, vid in enumerate(kept_venues)
-    ]
+    vendors = _venue_vendors(dataset, kept_venues, config, rng)
 
     m = len(users)
     capacities = config.capacity_range.sample_int(rng, m)
@@ -157,14 +129,4 @@ def trajectory_from_checkins(
             )
         )
 
-    activity = (
-        ActivityModel.diurnal(taxonomy) if diurnal
-        else ActivityModel.uniform(taxonomy)
-    )
-    problem = MUAAProblem(
-        customers=customers,
-        vendors=vendors,
-        ad_types=list(default_ad_types()),
-        utility_model=TaxonomyUtilityModel(activity),
-    )
-    return problem, schedule
+    return _checkin_problem(customers, vendors, taxonomy, diurnal), schedule

@@ -132,17 +132,19 @@ def _init_panel_worker(
     calibration: Optional[GammaBounds],
     mckp_method: str,
     shards: int,
+    moves,
 ) -> None:
     global _PANEL_STATE
-    _PANEL_STATE = (problem, seed, calibration, mckp_method, shards)
+    _PANEL_STATE = (problem, seed, calibration, mckp_method, shards, moves)
 
 
 def _run_panel_member(name: str) -> SolveResult:
     """Build and run one panel member against the inherited problem."""
     assert _PANEL_STATE is not None, "panel worker initializer did not run"
-    problem, seed, calibration, mckp_method, shards = _PANEL_STATE
+    problem, seed, calibration, mckp_method, shards, moves = _PANEL_STATE
     algorithm = build_panel(
-        problem, (name,), seed, calibration, mckp_method, shards
+        problem, (name,), seed, calibration, mckp_method, shards,
+        moves=moves,
     )[0]
     return algorithm.run(problem)
 
@@ -178,15 +180,14 @@ def run_panel(
     the parent, exactly as in the serial path.  Only the shard *count*
     crosses the process boundary (plans hold problem views and are
     rebuilt per worker), so an explicit ``shard_plan`` keeps the run
-    serial -- as does a ``moves`` schedule, which is not shipped to
-    the workers.
+    serial.  A ``moves`` schedule is run state that never touches the
+    problem, so it ships to the workers as is.
     """
     sharded = shard_plan is not None or shards > 1
     if not sharded:
         problem.warm_utilities()
     if (
         shard_plan is None
-        and moves is None
         and parallel is not None
         and parallel.active(len(algorithms))
     ):
@@ -197,7 +198,9 @@ def run_panel(
             list(algorithms),
             parallel,
             initializer=_init_panel_worker,
-            initargs=(problem, seed, calibration, mckp_method, shards),
+            initargs=(
+                problem, seed, calibration, mckp_method, shards, moves
+            ),
         )
         if fanned is not None:
             return {

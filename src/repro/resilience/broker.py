@@ -63,6 +63,7 @@ from repro.resilience.faults import (
     perturb_arrivals,
 )
 from repro.resilience.policy import (
+    BreakerHistory,
     CircuitBreaker,
     DependencyGuard,
     RetryPolicy,
@@ -79,7 +80,7 @@ _FAILED = "failed"
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(BreakerHistory):
     """Operational counters of one resilient (fault-injected) stream.
 
     Produced by :class:`ResilientBroker`; plain data, carried on
@@ -90,13 +91,8 @@ class ResilienceStats:
         timeouts: Per-call timeout failures observed.
         faults_injected: ``"dependency:kind"`` -> injected fault count.
         breaker_transitions: ``(dependency, time, from, to)`` breaker
-            state changes, in order.
-        breaker_counts: Dependency name -> transitions *into* each
-            breaker state (``"open"`` / ``"half_open"`` / ``"closed"``),
-            e.g. ``{"utility": {"open": 2, "half_open": 2,
-            "closed": 1}}``.  The per-dependency rollup of
-            ``breaker_transitions``, so shard/dependency breaker
-            behaviour is directly assertable.
+            state changes, in order (rolled up by
+            :class:`~repro.resilience.policy.BreakerHistory`).
         degraded_decisions: Decisions served by a fallback tier rather
             than the primary algorithm.
         decisions_by_tier: Tier name -> decisions served by that tier.
@@ -128,7 +124,6 @@ class ResilienceStats:
     breaker_transitions: List[Tuple[str, float, str, str]] = field(
         default_factory=list
     )
-    breaker_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     degraded_decisions: int = 0
     decisions_by_tier: Dict[str, int] = field(default_factory=dict)
     decisions_abandoned: int = 0
@@ -143,29 +138,9 @@ class ResilienceStats:
     degraded_latencies: List[float] = field(default_factory=list)
 
     @property
-    def breaker_opens(self) -> int:
-        """Number of transitions into the open state."""
-        return sum(
-            1 for _, _, _, to_state in self.breaker_transitions
-            if to_state == "open"
-        )
-
-    @property
     def total_faults(self) -> int:
         """Total injected faults across dependencies and kinds."""
         return sum(self.faults_injected.values())
-
-    @staticmethod
-    def count_transitions(
-        transitions: Sequence[Tuple[str, float, str, str]],
-    ) -> Dict[str, Dict[str, int]]:
-        """Roll ``(dep, time, from, to)`` records up into per-dependency
-        counts of transitions into each state."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for name, _, _, to_state in transitions:
-            per = counts.setdefault(name, {})
-            per[to_state] = per.get(to_state, 0) + 1
-        return counts
 
     def as_extras(self) -> Dict[str, float]:
         """Flat float counters for :class:`SolveResult` ``extras``."""
@@ -185,9 +160,7 @@ class ResilienceStats:
             "vendors_deactivated": float(self.vendors_deactivated),
             "churn_epoch": float(self.churn_epoch),
         }
-        for dep in sorted(self.breaker_counts):
-            for state, count in sorted(self.breaker_counts[dep].items()):
-                extras[f"breaker_{state}.{dep}"] = float(count)
+        extras.update(self.breaker_extras(""))
         return extras
 
 
@@ -468,12 +441,6 @@ class ResilientBroker:
         stats.arrivals_reordered = reordered
 
         assignment = problem.new_assignment()
-        if churn is None:
-            # Skipping exhausted vendors is part of churn-aware serving.
-            # A plain run scans every in-range vendor: the fault draws
-            # follow the guarded calls, so this assignment tracks no
-            # exhaustion.
-            assignment.min_cost = None
         result = StreamResult(assignment=assignment, resilience=stats)
         _run_arrivals(
             problem,
@@ -509,7 +476,6 @@ class ResilientBroker:
         ]
         transitions.sort(key=lambda item: item[1])
         stats.breaker_transitions = transitions
-        stats.breaker_counts = ResilienceStats.count_transitions(transitions)
         stats.degraded_decisions = (
             chain.degraded_decisions + stats.decisions_abandoned
         )

@@ -21,7 +21,7 @@ import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -206,6 +206,45 @@ class CircuitBreaker:
         ):
             self._opened_at = self._clock()
             self._transition(BreakerState.OPEN)
+
+
+class BreakerHistory:
+    """Rollups of a ``breaker_transitions`` list, derived on read.
+
+    Mixed into the stats types that carry breaker history (the broker's
+    and the cluster's).  Each row is ``(dependency, time, from_state,
+    to_state)`` with state values as strings.
+    """
+
+    breaker_transitions: List[Tuple[str, float, str, str]]
+
+    @property
+    def breaker_counts(self) -> Dict[str, Dict[str, int]]:
+        """Dependency name -> transitions *into* each breaker state,
+        e.g. ``{"utility": {"open": 2, "half_open": 2, "closed": 1}}``."""
+        counts: Dict[str, Dict[str, int]] = {}
+        for name, _, _, to_state in self.breaker_transitions:
+            per = counts.setdefault(name, {})
+            per[to_state] = per.get(to_state, 0) + 1
+        return counts
+
+    @property
+    def breaker_opens(self) -> int:
+        """Number of transitions into the open state."""
+        return sum(
+            1 for _, _, _, to_state in self.breaker_transitions
+            if to_state == "open"
+        )
+
+    def breaker_extras(self, prefix: str) -> Dict[str, float]:
+        """``{prefix}breaker_{state}.{dependency}`` -> count, sorted by
+        dependency then state."""
+        counts = self.breaker_counts
+        return {
+            f"{prefix}breaker_{state}.{dep}": float(count)
+            for dep in sorted(counts)
+            for state, count in sorted(counts[dep].items())
+        }
 
 
 class DependencyGuard:

@@ -34,8 +34,10 @@ class ScenarioRun:
         problem: The (possibly transformed) problem instance.
         moves: Optional :class:`~repro.scenario.trajectory.MoveSchedule`
             of mid-episode customer relocations, keyed by arrival tick;
-            ``None`` for static scenarios.  Streaming layers apply
-            these through the same delta path as churn events.
+            ``None`` for static scenarios.  Moves are run state: the
+            streaming layers apply them through
+            :meth:`~repro.scenario.trajectory.MoveSchedule.relocate`
+            and never touch the problem.
         scenario: Name of the scenario that produced this run.
     """
 

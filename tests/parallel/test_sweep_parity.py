@@ -6,9 +6,11 @@ import pytest
 
 from repro.datagen.config import ParameterRange, WorkloadConfig
 from repro.datagen.synthetic import synthetic_problem
+from repro.experiments import runner
 from repro.experiments.runner import run_panel
 from repro.experiments.sweep import run_sweep
 from repro.parallel import HAVE_SHARED_MEMORY, ParallelConfig
+from repro.scenario import TrajectoryScenario
 
 needs_shm = pytest.mark.skipif(
     not HAVE_SHARED_MEMORY,
@@ -36,6 +38,12 @@ def _points():
         ("n=60", _factory(60, 1)),
         ("n=80", _factory(80, 1)),
     ]
+
+
+def _triples(result):
+    return sorted(
+        (i.customer_id, i.vendor_id, i.type_id) for i in result.assignment
+    )
 
 
 def _row_key(row):
@@ -98,6 +106,38 @@ class TestPanelParity:
         )
         assert serial["ONLINE"].total_utility == \
             fanned["ONLINE"].total_utility
+
+    def test_fans_out_with_move_schedule(self, monkeypatch):
+        # Moves are run state that never touches the problem, so the
+        # panel fans out and every streaming member follows the same
+        # trajectory in its worker as in the serial run.
+        real = runner.parallel_map
+        calls = []
+
+        def spy(*args, **kwargs):
+            fanned = real(*args, **kwargs)
+            calls.append(fanned is not None)
+            return fanned
+
+        monkeypatch.setattr(runner, "parallel_map", spy)
+        problem = _factory(60, 6)()
+        moves = TrajectoryScenario(move_fraction=1.0).realize(problem, 6).moves
+        members = ("RANDOM", "NEAREST", "GREEDY", "ONLINE")
+        static = run_panel(problem, algorithms=members, seed=6)
+        serial = run_panel(problem, algorithms=members, seed=6, moves=moves)
+        fanned = run_panel(
+            problem, algorithms=members, seed=6, moves=moves,
+            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+        )
+        assert calls == [True]
+        assert any(
+            _triples(static[name]) != _triples(serial[name])
+            for name in ("NEAREST", "ONLINE")
+        )
+        assert list(serial) == list(fanned)
+        for name in members:
+            assert _triples(serial[name]) == _triples(fanned[name])
+            assert serial[name].total_utility == fanned[name].total_utility
 
 
 class TestSweepFallback:

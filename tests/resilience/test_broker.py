@@ -65,14 +65,8 @@ class TestFaultFreeParity:
         assert resilient.rejected_instances == plain.rejected_instances
         assert resilient.customers_lost == plain.customers_lost
         assert resilient.churn_epoch == plain.churn_epoch
-        if churned:
-            assert resilient.vendors_deactivated == plain.vendors_deactivated
-            assert resilient.exhausted_skips == plain.exhausted_skips
-        else:
-            # A churn-free broker run tracks no exhaustion (its fault
-            # draws follow every in-range vendor scan).
-            assert resilient.vendors_deactivated == 0
-            assert resilient.exhausted_skips == 0
+        assert resilient.vendors_deactivated == plain.vendors_deactivated
+        assert resilient.exhausted_skips == plain.exhausted_skips
 
     def test_matches_plain_simulator_with_same_primary(self, problem):
         primary = OnlineStaticThreshold(0.0)
@@ -112,9 +106,16 @@ class TestFallbackChain:
         )
         result = broker.run()
         stats = result.resilience
-        assert stats.degraded_decisions == len(problem.customers)
+        # Every decision with a candidate degrades to NEAREST.  Once
+        # all vendors are exhausted the primary finds no candidate and
+        # decides (to show nothing) without a utility call.
+        nearest = OnlineSimulator(problem).run(NearestVendor())
+        assert triples(result.assignment) == triples(nearest.assignment)
+        assert result.vendors_deactivated == len(problem.vendors)
         assert stats.decisions_by_tier == {
-            "NEAREST": len(problem.customers)
+            "NEAREST": stats.degraded_decisions,
+            "ONLINE-STATIC": len(problem.customers)
+            - stats.degraded_decisions,
         }
         assert len(result.assignment) > 0
         assert validate_assignment(problem, result.assignment).ok

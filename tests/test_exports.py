@@ -21,7 +21,6 @@ PACKAGES = (
     "repro.stream",
     "repro.datagen",
     "repro.experiments",
-    "repro.temporal",
     "repro.obs",
     "repro.cluster",
     "repro.scenario",
