@@ -12,15 +12,15 @@ Two measurements over the shared gate workload, emitted as
 * **Cell migration** (counts enforced, time reported): one cell of a
   ``GATE_SHARDS``-shard gate plan moves between two warm shard views.  The
   moving vendors carry their scored segments, so the migration makes
-  no customer-index build and no Eq. 4/5 kernel call.
+  no customer-index build and no Eq. 4/5 kernel call, and each touched
+  view's engine takes the whole move in one splice (2 splices).
 * **Parity** (enforced unconditionally): after a seeded sequence of
   ``N_EVENTS`` mixed deltas (insert/retire/deactivate/migrate) the
   spliced state must match a cold rebuild exactly --
 
   - engine-level: per-vendor pair-base and utility segments of the
     spliced engine equal the cold-rebuilt engine's bitwise for every
-    active vendor (deactivated vendors are spliced out of the table;
-    the cold build keeps them and filters at scan time);
+    vendor (a cold build splices deactivated vendors out the same way);
   - stream-level: an O-AFA stream served against delta-spliced state
     equals the same stream served with a full cold rebuild after every
     event, within ``PARITY_TOL``, at 1 and ``GATE_SHARDS`` shards.
@@ -119,11 +119,12 @@ def _time_single_delta(problem) -> float:
 def _time_migration() -> dict:
     """Fastest single cell migration between two warm shard views (the
     busiest cell of shard 0 moves to shard 1), with the customer-index
-    builds and Eq. 4/5 kernel calls it made."""
-    counts = {"customer_index_builds": 0, "kernel_calls": 0}
+    builds, Eq. 4/5 kernel calls and engine splices it made."""
+    counts = {"customer_index_builds": 0, "kernel_calls": 0, "splices": 0}
     wrapped = (
         (problem_mod, "build_customer_index", "customer_index_builds"),
         (engine_mod, "_kernel_pair_bases", "kernel_calls"),
+        (engine_mod.ComputeEngine, "apply_delta", "splices"),
     )
     best, moved = float("inf"), 0
     for _ in range(REPEATS):
@@ -174,14 +175,8 @@ def _segments(problem, engine):
 
 def _engine_parity(problem) -> float:
     """Max |spliced - cold| over per-vendor segments after N_EVENTS
-    deltas.
-
-    Compared vendor by vendor: the delta path splices deactivated
-    vendors' segments *out* of the table, while the cold build keeps
-    them and filters at scan time -- both decision-neutral, so parity
-    is over active vendors' segments (which must be bitwise equal) plus
-    the invariant that spliced inactive segments are empty.
-    """
+    deltas, every vendor compared (deactivated ones hold empty segments
+    in both)."""
     problem.acquire_engine().warm()
     schedule = seeded_vendor_churn(
         problem, N_EVENTS, seed=GATE_CONFIG.seed, n_ticks=N_EVENTS
@@ -194,7 +189,6 @@ def _engine_parity(problem) -> float:
             problem, problem.engine
         ).items()
     }
-    inactive = set(problem.churn.inactive)
     problem.drop_engine()
     cold = problem.acquire_engine()
     cold.warm()
@@ -203,12 +197,6 @@ def _engine_parity(problem) -> float:
     diff = 0.0
     for vid, (cold_bases, cold_utilities) in cold_segments.items():
         spliced_bases, spliced_utilities = spliced_segments[vid]
-        if vid in inactive:
-            assert len(spliced_bases) == 0, (
-                f"deactivated vendor {vid} still has "
-                f"{len(spliced_bases)} spliced edges"
-            )
-            continue
         assert len(spliced_bases) == len(cold_bases), (
             f"vendor {vid} segment size diverged: spliced "
             f"{len(spliced_bases)}, cold {len(cold_bases)}"
@@ -272,7 +260,8 @@ def test_churn_gate():
         f"[churn] cell migration of {migration['vendors_moved']} vendors "
         f"{migration['seconds'] * 1e3:.2f}ms, "
         f"{migration['customer_index_builds']} index builds, "
-        f"{migration['kernel_calls']} kernel calls"
+        f"{migration['kernel_calls']} kernel calls, "
+        f"{migration['splices']} engine splices"
     )
 
     engine_diff = _engine_parity(problem)
@@ -342,6 +331,8 @@ def test_churn_gate():
     # Migration work: counts, so machine-independent.
     assert migration["customer_index_builds"] == 0
     assert migration["kernel_calls"] == 0
+    # One engine splice per touched view (source and destination).
+    assert migration["splices"] == 2
 
     # Speedup: a same-machine wall-clock ratio, so unconditional.
     assert speedup >= SPEEDUP_GATE, (

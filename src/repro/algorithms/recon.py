@@ -133,7 +133,9 @@ class Reconciliation(OfflineAlgorithm):
                                 profit=utility,
                             )
                         )
-        else:
+        elif vendor.vendor_id not in problem.churn.inactive:
+            # A deactivated vendor offers no candidates (its engine
+            # segment is empty).
             for customer_id in problem.valid_customer_ids(vendor):
                 for inst in problem.pair_instances(
                     customer_id, vendor.vendor_id

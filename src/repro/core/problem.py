@@ -34,6 +34,7 @@ from repro.churn import (
     ChurnEvent,
     ChurnState,
     ShardDelta,
+    VendorJoin,
 )
 from repro.core.assignment import AdInstance, Assignment
 from repro.core.entities import AdType, Customer, Vendor, distance
@@ -521,9 +522,10 @@ class MUAAProblem:
 
         Enumerates range-valid pairs through the vendor-side index, so
         the cost is proportional to the number of valid pairs rather
-        than :math:`m \\cdot n`.  A batch entry point: builds the
-        compute engine when the utility model supports it, scoring the
-        whole candidate-edge table in vectorized passes.
+        than :math:`m \\cdot n`; deactivated vendors
+        (``churn.inactive``) offer none.  A batch entry point: builds
+        the compute engine when the utility model supports it, scoring
+        the whole candidate-edge table in vectorized passes.
         """
         engine = self.acquire_engine()
         if engine is not None:
@@ -536,12 +538,13 @@ class MUAAProblem:
                     customer_id, vendor_id, float(bases[pos])
                 )
             return
-        for vendor in self.vendors:
+        for vendor in self._active_vendors():
             for customer_id in self.valid_customer_ids(vendor):
                 yield from self.pair_instances(customer_id, vendor.vendor_id)
 
     def valid_pairs(self) -> Iterator[Tuple[int, int]]:
-        """Every range-valid ``(customer_id, vendor_id)`` pair.
+        """Every range-valid ``(customer_id, vendor_id)`` pair of an
+        active (not deactivated) vendor.
 
         Reuses the engine's edge table when one has already been built
         (the table enumerates pairs in exactly this vendor-major order);
@@ -551,9 +554,15 @@ class MUAAProblem:
         if engine is not None and engine.edges_built:
             yield from engine.edges.iter_pairs(engine.arrays)
             return
-        for vendor in self.vendors:
+        for vendor in self._active_vendors():
             for customer_id in self.valid_customer_ids(vendor):
                 yield (customer_id, vendor.vendor_id)
+
+    def _active_vendors(self) -> List[Vendor]:
+        """The catalogue without the deactivated vendors -- the vendors
+        whose segments a built engine's table holds."""
+        inactive = self.churn.inactive
+        return [v for v in self.vendors if v.vendor_id not in inactive]
 
     def warm_utilities(self) -> int:
         """Evaluate (and cache) the pair base of every valid pair.
@@ -595,151 +604,122 @@ class MUAAProblem:
     # ------------------------------------------------------------------
     # Churn (live vendor joins/leaves; see docs/incremental.md)
     # ------------------------------------------------------------------
+    def _delta(self, **parts) -> ShardDelta:
+        """A delta against this (un-sharded) problem, shard 0 of the
+        identity plan."""
+        return ShardDelta(shard=0, epoch=self.churn.epoch, **parts)
+
     def insert_vendor(
-        self,
-        vendor: Vendor,
-        position: Optional[int] = None,
-        bases=None,
-        cleared: bool = False,
+        self, vendor: Vendor, position: Optional[int] = None
     ) -> bool:
         """Add a joining vendor at catalogue ``position`` (default:
-        end), threading the delta into a built compute engine.
-
-        The customer spatial index is left untouched (its cell size is
-        frozen at construction; range queries stay exact for any
-        radius), so a cold engine rebuild on this same problem object
-        reproduces the delta result bit for bit.  ``bases`` and
-        ``cleared`` pass through to
-        :meth:`~repro.engine.ComputeEngine.insert_vendor` (carried pair
-        bases; arrive deactivated).  Idempotent.
-        """
+        end) through :meth:`apply_delta`.  Idempotent: ``False`` when
+        the vendor is already present."""
         if vendor.vendor_id in self.vendors_by_id:
             return False
-        if position is None:
-            position = len(self.vendors)
-        self.vendors.insert(position, vendor)
-        self.vendors_by_id[vendor.vendor_id] = vendor
-        # ``budgets`` is shared by reference with live assignments, so
-        # the join is immediately spendable mid-episode.
-        self.budgets[vendor.vendor_id] = vendor.budget
-        self.max_radius = max(self.max_radius, vendor.radius)
-        self._vendor_index = None
-        if self._engine is not None:
-            self._engine.insert_vendor(
-                vendor, row=position, bases=bases, cleared=cleared
-            )
+        self.apply_delta(
+            self._delta(join=(VendorJoin(vendor=vendor, position=position),))
+        )
         return True
 
     def retire_vendor(self, vendor_id: int) -> bool:
-        """Remove a leaving vendor from the catalogue and a built
-        engine.  The ``budgets`` entry is kept -- live assignments still
-        account spend against it -- and so is a deactivation in the
-        shared ``churn.inactive``: a vendor leaving one shard view for
-        another (cell migration) stays dormant.  A ``retire`` event
-        (:meth:`apply_churn`, ``ShardPlan.apply_churn``) forgets it.
-        Idempotent."""
-        vendor = self.vendors_by_id.pop(vendor_id, None)
-        if vendor is None:
+        """Remove a leaving vendor through :meth:`apply_delta`.
+        Idempotent: ``False`` for an unknown vendor."""
+        if vendor_id not in self.vendors_by_id:
             return False
-        self.vendors.remove(vendor)
-        self._vendor_index = None
-        if self._engine is not None:
-            self._engine.retire_vendor(vendor_id)
+        self.apply_delta(self._delta(retire=(vendor_id,)))
         return True
 
-    def admit_customers(self, customers: Sequence[Customer]) -> int:
-        """Add new customers (shard views admit replicas during a cell
-        migration).  A built grid index takes the new points in place:
-        its cell size is frozen while it lives and a cell lists points
-        in insertion order, so the result equals a rebuild over the
-        grown customer list.  A KD-tree index is dropped for lazy
-        rebuild.  ``capacities`` is shared by reference with live
-        assignments, so the admits are immediately servable.
-        Idempotent per id."""
-        fresh = [
-            c for c in customers if c.customer_id not in self.customers_by_id
-        ]
-        if not fresh:
-            return 0
-        for customer in fresh:
-            self.customers.append(customer)
-            self.customers_by_id[customer.customer_id] = customer
-            self.capacities[customer.customer_id] = customer.capacity
-        if isinstance(self._customer_index, GridIndex):
-            for customer in fresh:
-                self._customer_index.insert(
-                    customer.customer_id, customer.location
-                )
-        else:
-            self._customer_index = None
-        if self._engine is not None:
-            self._engine.admit_customers(fresh)
-        return len(fresh)
-
     def deactivate_vendors(self, vendor_ids: Sequence[int]) -> int:
-        """Mark vendors inactive so candidate scans skip them (a
-        ``deactivate`` churn event), splicing their candidate segments
-        out of a built engine -- also for vendors the shared state
-        already lists (a shard view catching up).  Returns the number
-        newly deactivated.
-        """
-        known = [vid for vid in vendor_ids if vid in self.vendors_by_id]
-        fresh = [vid for vid in known if vid not in self.churn.inactive]
-        self.churn.inactive.update(fresh)
-        self.churn.deactivations += len(fresh)
-        if known and self._engine is not None:
-            self._engine.deactivate_exhausted(known)
-        return len(fresh)
-
-    def reactivate_vendors(self, vendor_ids: Sequence[int]) -> int:
-        """Undo deactivations (segments are rebuilt bit-identically)."""
-        count = 0
-        for vid in vendor_ids:
-            if vid in self.churn.inactive:
-                self.churn.inactive.discard(vid)
-                count += 1
-                if self._engine is not None:
-                    self._engine.restore_vendor(vid)
-        return count
+        """Mark vendors inactive (a ``deactivate`` churn event) through
+        :meth:`apply_delta`.  Returns the number newly deactivated."""
+        before = self.churn.deactivations
+        self.apply_delta(self._delta(deactivate=tuple(vendor_ids)))
+        return self.churn.deactivations - before
 
     def apply_delta(
         self, delta: ShardDelta, bases: Optional[Dict[int, tuple]] = None
     ) -> None:
         """Apply one :class:`~repro.churn.ShardDelta` to this instance
-        (a plan's shard view, or a cluster worker's copy of one).
+        (the problem itself, a plan's shard view, or a cluster worker's
+        copy of one) -- the one way the catalogue changes.
 
-        Retires first.  Then one splice for all joins: their new
-        customers are admitted in one pass and each joining vendor is
-        inserted at its catalogue position -- deactivated when the
-        delta also lists it in ``deactivate`` (a dormant vendor moving
-        cells stays dormant), else with its carried pair bases from
-        ``bases`` (vendor id -> the source engine's
-        :meth:`~repro.engine.ComputeEngine.segment_bases`) or scored.
-        Deactivations last.  Idempotent, like every delta primitive.
+        Retires leave the catalogue; their ``budgets`` entries stay,
+        since live assignments still account spend against them, and so
+        does a deactivation in the shared ``churn.inactive``: a vendor
+        leaving one shard view for another (cell migration) stays
+        dormant, and only a ``retire`` event forgets it.  Joins admit
+        their new customers and enter at their catalogue positions
+        (``None`` appends).  ``budgets`` and ``capacities`` are shared
+        by reference with live assignments, so joins and admits are
+        servable at once.  Vendors in ``deactivate`` join
+        ``churn.inactive``, so candidate scans skip them.
+
+        Vendor joins and retires leave the customer index alone (its
+        cell size is frozen; range queries stay exact for any radius).
+        A built grid customer index takes the admits in place (a cell
+        lists points in insertion order, so this equals a rebuild); a
+        KD-tree index is dropped for lazy rebuild.  So a cold engine
+        rebuild on this same problem object reproduces the splice bit
+        for bit.  A built compute engine then makes
+        one splice for the whole delta
+        (:meth:`~repro.engine.ComputeEngine.apply_delta`), with the
+        carried pair bases of ``bases`` (vendor id -> the source
+        engine's :meth:`~repro.engine.ComputeEngine.segment_bases`).
+        Idempotent, like every delta primitive.
         """
-        for vendor_id in delta.retire:
-            self.retire_vendor(vendor_id)
-        if delta.join:
-            dormant = set(delta.deactivate)
-            bases = bases or {}
-            self.admit_customers(
-                [c for join in delta.join for c in join.admit]
-            )
-            for join in delta.join:
-                vendor_id = join.vendor.vendor_id
-                self.insert_vendor(
-                    join.vendor,
-                    position=join.position,
-                    bases=bases.get(vendor_id),
-                    cleared=vendor_id in dormant,
+        gone = {vid for vid in delta.retire if vid in self.vendors_by_id}
+        for vid in gone:
+            del self.vendors_by_id[vid]
+        if gone:
+            self.vendors[:] = [
+                v for v in self.vendors if v.vendor_id not in gone
+            ]
+        admits = {
+            c.customer_id: c
+            for join in delta.join
+            for c in join.admit
+            if c.customer_id not in self.customers_by_id
+        }
+        for customer in admits.values():
+            self.customers.append(customer)
+            self.customers_by_id[customer.customer_id] = customer
+            self.capacities[customer.customer_id] = customer.capacity
+            if isinstance(self._customer_index, GridIndex):
+                self._customer_index.insert(
+                    customer.customer_id, customer.location
                 )
-        if delta.deactivate:
-            self.deactivate_vendors(delta.deactivate)
+        if admits and not isinstance(self._customer_index, GridIndex):
+            self._customer_index = None
+        joined = False
+        for join in delta.join:
+            vendor = join.vendor
+            if vendor.vendor_id in self.vendors_by_id:
+                continue
+            position = join.position
+            self.vendors.insert(
+                len(self.vendors) if position is None else position, vendor
+            )
+            self.vendors_by_id[vendor.vendor_id] = vendor
+            self.budgets[vendor.vendor_id] = vendor.budget
+            self.max_radius = max(self.max_radius, vendor.radius)
+            joined = True
+        if gone or joined:
+            self._vendor_index = None
+        fresh = [
+            vid for vid in dict.fromkeys(delta.deactivate)
+            if vid in self.vendors_by_id and vid not in self.churn.inactive
+        ]
+        self.churn.inactive.update(fresh)
+        self.churn.deactivations += len(fresh)
+        if self._engine is not None:
+            self._engine.apply_delta(delta, bases)
 
     def apply_churn(self, event: ChurnEvent) -> int:
         """Apply one churn event directly to this (un-sharded) problem
-        and bump the epoch.  ``migrate`` events are shard-level --
-        route those through ``ShardPlan.apply_churn``."""
+        through :meth:`apply_delta` and bump the epoch.  ``migrate``
+        events are shard-level -- route those through
+        ``ShardPlan.apply_churn``."""
         if event.kind == KIND_INSERT:
             self.insert_vendor(event.vendor)
         elif event.kind == KIND_RETIRE:

@@ -169,58 +169,58 @@ class ProblemArrays:
     # ------------------------------------------------------------------
     # Delta splices (fresh arrays; originals are never written to)
     # ------------------------------------------------------------------
-    def with_vendor_inserted(self, vendor: Vendor, row: int) -> "ProblemArrays":
-        """Columns with ``vendor`` spliced in at vendor row ``row``.
+    def with_vendors(self, vendors: Sequence[Vendor]) -> "ProblemArrays":
+        """Columns with the vendor rows laid out as ``vendors`` (a new
+        catalogue order after joins and retires): the rows of vendors
+        already present are gathered, joining vendors' rows are built
+        from their entities in the existing columns' dtypes.
 
         Raises:
-            ValueError: When the tag matrix exists but the vendor has no
-                compatible tag vector (the vectorized kernels would
-                silently lose their inputs otherwise).
+            ValueError: When the tag matrix exists but a joining vendor
+                has no compatible tag vector (the vectorized kernels
+                would silently lose their inputs otherwise).
         """
+        index = self.vendor_index
+        fresh = [v for v in vendors if v.vendor_id not in index]
+        if not fresh and [v.vendor_id for v in vendors] == (
+            self.vendor_ids.tolist()
+        ):
+            return self
+        gather, next_row = [], self.n_vendors
+        for vendor in vendors:
+            row = index.get(vendor.vendor_id)
+            if row is None:
+                row, next_row = next_row, next_row + 1
+            gather.append(row)
+
+        def laid_out(column: np.ndarray, values) -> np.ndarray:
+            values = np.asarray(values, dtype=column.dtype).reshape(
+                (len(fresh),) + column.shape[1:]
+            )
+            return np.concatenate([column, values])[gather]
+
         tags = self.tags
         if tags is not None:
-            vec = None if vendor.tags is None else np.asarray(
-                vendor.tags, dtype=tags.dtype
-            )
-            if vec is None or vec.shape != tags.shape[1:]:
-                raise ValueError(
-                    f"vendor {vendor.vendor_id}: tag vector incompatible "
-                    f"with the existing ({tags.shape[1]},) tag matrix"
-                )
-            tags = np.insert(tags, row, vec, axis=0)
-        vendor_ids = np.insert(self.vendor_ids, row, vendor.vendor_id)
+            for vendor in fresh:
+                if vendor.tags is None or np.shape(vendor.tags) != (
+                    tags.shape[1:]
+                ):
+                    raise ValueError(
+                        f"vendor {vendor.vendor_id}: tag vector "
+                        "incompatible with the existing "
+                        f"({tags.shape[1]},) tag matrix"
+                    )
+            tags = laid_out(tags, [v.tags for v in fresh])
+        vendor_ids = laid_out(self.vendor_ids, [v.vendor_id for v in fresh])
         return replace(
             self,
             vendor_ids=vendor_ids,
-            vendor_xy=np.insert(
-                self.vendor_xy,
-                row,
-                np.asarray(vendor.location, dtype=self.vendor_xy.dtype),
-                axis=0,
-            ),
-            radius=np.insert(self.radius, row, vendor.radius),
-            budget=np.insert(self.budget, row, vendor.budget),
+            vendor_xy=laid_out(self.vendor_xy, [v.location for v in fresh]),
+            radius=laid_out(self.radius, [v.radius for v in fresh]),
+            budget=laid_out(self.budget, [v.budget for v in fresh]),
             tags=tags,
             vendor_index={
-                int(vid): pos for pos, vid in enumerate(vendor_ids)
-            },
-        )
-
-    def with_vendor_removed(self, row: int) -> "ProblemArrays":
-        """Columns with vendor row ``row`` spliced out."""
-        vendor_ids = np.delete(self.vendor_ids, row)
-        return replace(
-            self,
-            vendor_ids=vendor_ids,
-            vendor_xy=np.delete(self.vendor_xy, row, axis=0),
-            radius=np.delete(self.radius, row),
-            budget=np.delete(self.budget, row),
-            tags=(
-                None if self.tags is None
-                else np.delete(self.tags, row, axis=0)
-            ),
-            vendor_index={
-                int(vid): pos for pos, vid in enumerate(vendor_ids)
+                int(vid): pos for pos, vid in enumerate(vendor_ids.tolist())
             },
         )
 

@@ -126,132 +126,6 @@ def vendor_segment(
     return rows, dist
 
 
-def insert_vendor_segment(
-    edges: CandidateEdges,
-    vendor_row: int,
-    customer_rows: np.ndarray,
-    dist: np.ndarray,
-) -> CandidateEdges:
-    """A new table with a new vendor row (and its edge segment) spliced
-    in at ``vendor_row``; later vendor rows shift up by one.
-
-    All columns are freshly allocated -- the input table may wrap
-    read-only shared-memory views.
-    """
-    start = int(edges.vendor_starts[vendor_row])
-    seg_len = len(customer_rows)
-    old_vidx = edges.vendor_idx
-    starts = edges.vendor_starts
-    return CandidateEdges(
-        customer_idx=np.concatenate([
-            edges.customer_idx[:start],
-            np.asarray(customer_rows, dtype=edges.customer_idx.dtype),
-            edges.customer_idx[start:],
-        ]),
-        # Vendor-major: positions < start hold rows < vendor_row,
-        # positions >= start hold rows >= vendor_row (renumbered +1).
-        vendor_idx=np.concatenate([
-            old_vidx[:start],
-            np.full(seg_len, vendor_row, dtype=old_vidx.dtype),
-            old_vidx[start:] + 1,
-        ]),
-        distance=np.concatenate([
-            edges.distance[:start],
-            np.asarray(dist, dtype=edges.distance.dtype),
-            edges.distance[start:],
-        ]),
-        vendor_starts=np.concatenate([
-            starts[: vendor_row + 1],
-            starts[vendor_row:] + seg_len,
-        ]),
-    )
-
-
-def remove_vendor_segment(
-    edges: CandidateEdges, vendor_row: int
-) -> CandidateEdges:
-    """A new table with vendor row ``vendor_row`` (and its segment)
-    spliced out; later vendor rows shift down by one."""
-    start = int(edges.vendor_starts[vendor_row])
-    stop = int(edges.vendor_starts[vendor_row + 1])
-    seg_len = stop - start
-    old_vidx = edges.vendor_idx
-    starts = edges.vendor_starts
-    return CandidateEdges(
-        customer_idx=np.concatenate([
-            edges.customer_idx[:start], edges.customer_idx[stop:]
-        ]),
-        vendor_idx=np.concatenate([
-            old_vidx[:start], old_vidx[stop:] - 1
-        ]),
-        distance=np.concatenate([
-            edges.distance[:start], edges.distance[stop:]
-        ]),
-        vendor_starts=np.concatenate([
-            starts[:vendor_row], starts[vendor_row + 1:] - seg_len
-        ]),
-    )
-
-
-def clear_vendor_segment(
-    edges: CandidateEdges, vendor_row: int
-) -> CandidateEdges:
-    """A new table with vendor row ``vendor_row``'s segment emptied but
-    the row kept (deactivation: the vendor stays in the catalogue)."""
-    start = int(edges.vendor_starts[vendor_row])
-    stop = int(edges.vendor_starts[vendor_row + 1])
-    seg_len = stop - start
-    starts = edges.vendor_starts
-    return CandidateEdges(
-        customer_idx=np.concatenate([
-            edges.customer_idx[:start], edges.customer_idx[stop:]
-        ]),
-        vendor_idx=np.concatenate([
-            edges.vendor_idx[:start], edges.vendor_idx[stop:]
-        ]),
-        distance=np.concatenate([
-            edges.distance[:start], edges.distance[stop:]
-        ]),
-        vendor_starts=np.concatenate([
-            starts[: vendor_row + 1], starts[vendor_row + 1:] - seg_len
-        ]),
-    )
-
-
-def fill_vendor_segment(
-    edges: CandidateEdges,
-    vendor_row: int,
-    customer_rows: np.ndarray,
-    dist: np.ndarray,
-) -> CandidateEdges:
-    """A new table with an (empty) existing vendor row's segment filled
-    back in -- the inverse of :func:`clear_vendor_segment`."""
-    start = int(edges.vendor_starts[vendor_row])
-    seg_len = len(customer_rows)
-    old_vidx = edges.vendor_idx
-    starts = edges.vendor_starts
-    return CandidateEdges(
-        customer_idx=np.concatenate([
-            edges.customer_idx[:start],
-            np.asarray(customer_rows, dtype=edges.customer_idx.dtype),
-            edges.customer_idx[start:],
-        ]),
-        vendor_idx=np.concatenate([
-            old_vidx[:start],
-            np.full(seg_len, vendor_row, dtype=old_vidx.dtype),
-            old_vidx[start:],
-        ]),
-        distance=np.concatenate([
-            edges.distance[:start],
-            np.asarray(dist, dtype=edges.distance.dtype),
-            edges.distance[start:],
-        ]),
-        vendor_starts=np.concatenate([
-            starts[: vendor_row + 1], starts[vendor_row + 1:] + seg_len
-        ]),
-    )
-
-
 #: Largest ``m * n`` the dense (one boolean per customer-vendor pair)
 #: enumeration may allocate; bigger instances take the cell-blocked
 #: path, which visits only each vendor's grid neighbourhood.

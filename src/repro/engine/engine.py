@@ -20,19 +20,16 @@ for unsupported models so callers can fall back to the scalar path.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.churn import ShardDelta
 from repro.core.assignment import AdInstance
 from repro.engine.arrays import ProblemArrays
 from repro.engine.edges import (
     CandidateEdges,
     build_candidate_edges,
-    clear_vendor_segment,
-    fill_vendor_segment,
-    insert_vendor_segment,
-    remove_vendor_segment,
     vendor_segment,
 )
 from repro.engine.kernels import pair_bases as _kernel_pair_bases
@@ -77,13 +74,14 @@ class ComputeEngine:
         self._bases: Optional[np.ndarray] = None
         # Two-level point index: (customer_id, vendor_id) -> offset
         # *within the vendor's segment*, plus vendor id -> absolute
-        # segment start.  Deltas only touch the affected vendor's keys
+        # segment start.  Deltas only touch the affected vendors' keys
         # plus the O(n) start map -- never the O(E) pair map.
         self._edge_pos: Optional[Dict[Tuple[int, int], int]] = None
         self._seg_start: Optional[Dict[int, int]] = None
-        #: Vendors whose segments were spliced out by
-        #: :meth:`deactivate_exhausted` (restorable).
-        self._cleared: Set[int] = set()
+        #: Deactivated vendors (rows kept, segments spliced out) ->
+        #: their in-range customer ids, which the adjacency keeps
+        #: listing so candidate scans count the skip.
+        self._cleared: Dict[int, List[int]] = {}
         self._utilities: Optional[np.ndarray] = None
         # Point-lookup accelerators (plain Python containers; indexing
         # numpy scalars per online decision is measurably slower).
@@ -139,9 +137,27 @@ class ComputeEngine:
         engine = cls.create(problem)
         if engine is None:
             return None
-        engine._edges = edges
-        engine._bases = np.asarray(bases)
+        engine.install(edges, bases)
         return engine
+
+    def install(
+        self, edges: CandidateEdges, bases: Optional[np.ndarray] = None
+    ) -> None:
+        """Take a whole candidate table -- a cold build, or columns
+        shipped or loaded from elsewhere -- and splice the problem's
+        deactivated vendors out of it through :meth:`apply_delta`, the
+        same splice a ``deactivate`` delta makes on a built table."""
+        self._edges = edges
+        self._bases = None if bases is None else np.asarray(bases)
+        churn = self._problem.churn
+        dormant = tuple(
+            vid for vid in self._arrays.vendor_ids.tolist()
+            if vid in churn.inactive
+        )
+        if dormant:
+            self.apply_delta(
+                ShardDelta(shard=0, epoch=churn.epoch, deactivate=dormant)
+            )
 
     # ------------------------------------------------------------------
     # Columnar state
@@ -173,8 +189,8 @@ class ComputeEngine:
         if self._edges is None:
             rec = recorder()
             with rec.span("engine.build_edges"):
-                self._edges = build_candidate_edges(
-                    self._problem, self._arrays
+                self.install(
+                    build_candidate_edges(self._problem, self._arrays)
                 )
             rec.gauge("engine.candidate_edges", len(self._edges))
         return self._edges
@@ -248,15 +264,6 @@ class ComputeEngine:
             self._seg_start = seg_start
         return self._edge_pos, self._seg_start
 
-    def _recount_segments(self) -> None:
-        """Refresh the O(n) vendor-id -> segment-start map after a
-        splice changed the table layout."""
-        starts = self.edges.vendor_starts
-        self._seg_start = {
-            vid: int(starts[row])
-            for row, vid in enumerate(self._arrays.vendor_ids.tolist())
-        }
-
     @property
     def edge_index(self) -> Dict[Tuple[int, int], int]:
         """``(customer_id, vendor_id)`` -> absolute edge position.
@@ -304,14 +311,16 @@ class ComputeEngine:
         return self.num_edges
 
     def _vendor_adjacency(self) -> Dict[int, List[int]]:
-        """``customer_id`` -> vendor ids of its candidate edges.
+        """``customer_id`` -> vendor ids in range of it.
 
         Derived from the edge table (so a custom pair validator is
-        honoured), with vendors in catalogue (row) order -- the
-        vendor-major table visits rows in ascending order, which churn
-        splices preserve.  The scalar grid query returns the same *set*
-        in grid-cell order; order is immaterial to the online solvers,
-        which score every listed vendor independently before ranking.
+        honoured) plus the deactivated vendors' kept in-range customers
+        (so a scan counts their skip whenever the adjacency was built),
+        with vendors in catalogue (row) order -- the vendor-major table
+        visits rows in ascending order, which churn splices preserve.
+        The scalar grid query returns the same *set* in grid-cell
+        order; order is immaterial to the online solvers, which score
+        every listed vendor independently before ranking.
         """
         if self._adjacency is None:
             edges = self.edges
@@ -323,7 +332,22 @@ class ComputeEngine:
             for cid, vid in zip(cids, vids):
                 adjacency[cid].append(vid)
             self._adjacency = adjacency
+            for vid, in_range in self._cleared.items():
+                self._list_vendor(vid, in_range)
         return self._adjacency
+
+    def _list_vendor(self, vendor_id: int, customer_ids: List[int]) -> None:
+        """Add a vendor to its in-range customers' adjacency lists at
+        its catalogue (row) position; scans from the right so catalogue
+        appends stay O(1)."""
+        vendor_index = self._arrays.vendor_index
+        row = vendor_index[vendor_id]
+        for cid in customer_ids:
+            listed = self._adjacency.setdefault(cid, [])
+            i = len(listed)
+            while i > 0 and vendor_index[listed[i - 1]] > row:
+                i -= 1
+            listed.insert(i, vendor_id)
 
     def vendors_in_range(self, customer_id: int) -> Optional[List[int]]:
         """Vendor ids of one customer's candidate edges, or ``None``
@@ -376,15 +400,23 @@ class ComputeEngine:
         """
         cached = self._level_tables[by][level]
         if cached is None:
-            cols = list(self._level_cols[level])
-            matrix = self.utilities()
-            if len(cols) != matrix.shape[1]:
-                matrix = matrix[:, cols]
-            if by == "efficiency":
-                matrix = matrix / self._arrays.type_cost[cols]
-            cached = np.asarray(cols)[np.argmax(matrix, axis=1)].tolist()
+            cached = self._best_types(self.utilities(), by, level)
             self._level_tables[by][level] = cached
         return cached
+
+    def _best_types(
+        self, utilities: np.ndarray, by: str, level: int
+    ) -> List[int]:
+        """Best ad-type index per row of ``utilities`` over level
+        ``level`` -- the one argmax path of every level-table entry,
+        whether built whole or spliced in per segment."""
+        cols = list(self._level_cols[level])
+        matrix = utilities
+        if len(cols) != matrix.shape[1]:
+            matrix = matrix[:, cols]
+        if by == "efficiency":
+            matrix = matrix / self._arrays.type_cost[cols]
+        return np.asarray(cols)[np.argmax(matrix, axis=1)].tolist()
 
     def best_for_pair(
         self,
@@ -493,38 +525,12 @@ class ComputeEngine:
         return best, utility, affordable.any(axis=1)
 
     # ------------------------------------------------------------------
-    # Churn deltas (segment splices; see docs/incremental.md)
+    # Churn deltas (one splice per delta; see docs/incremental.md)
     # ------------------------------------------------------------------
     @property
     def cleared_vendors(self) -> Set[int]:
-        """Vendors whose segments are currently spliced out."""
+        """Deactivated vendors: rows kept, segments spliced out."""
         return set(self._cleared)
-
-    def _score_segment(
-        self, row: int, seg_rows: np.ndarray, dist: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 4/5 pair bases of one vendor's segment.
-
-        The kernels reduce per edge with fixed-order ``einsum``
-        accumulations, so scoring a segment alone is bitwise equal to
-        the same rows of a cold full-table pass.
-        """
-        seg_edges = CandidateEdges(
-            customer_idx=seg_rows,
-            vendor_idx=np.full(
-                len(seg_rows), row, dtype=self._arrays.index_dtype
-            ),
-            distance=dist,
-            vendor_starts=np.array([0, len(seg_rows)], dtype=np.int64),
-        )
-        bases = _kernel_pair_bases(
-            self._problem.utility_model, self._arrays, seg_edges
-        )
-        if bases is None:  # pragma: no cover - guarded by create()
-            raise RuntimeError(
-                "engine created for a model without a vectorized kernel"
-            )
-        return bases
 
     def segment_bases(
         self, vendor_id: int
@@ -560,258 +566,231 @@ class ComputeEngine:
             return None
         return bases[at]
 
-    def _install_segment(
+    def _join_bases(
         self,
-        row: int,
-        start: int,
-        seg_rows: np.ndarray,
-        dist: np.ndarray,
-        vendor_id: int,
-        carried: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Splice a freshly built segment's derived state in at
-        ``start``: bases (``carried`` ones when they cover the segment,
-        else scored), utility matrix/rows, level tables, point index.
-        The edge table itself was already spliced."""
-        if self._bases is not None and len(seg_rows):
-            seg_bases = None
-            if carried is not None:
-                seg_bases = self._gather_bases(seg_rows, carried)
-            if seg_bases is None:
-                seg_bases = self._score_segment(row, seg_rows, dist)
-            self._bases = np.concatenate([
-                self._bases[:start], seg_bases, self._bases[start:]
-            ])
-            seg_util = (
-                seg_bases[:, None]
-                * self._arrays.type_effectiveness[None, :]
-            )
-            if self._utilities is not None:
-                self._utilities = np.concatenate([
-                    self._utilities[:start],
-                    seg_util,
-                    self._utilities[start:],
-                ])
-            if self._util_rows is not None:
-                self._util_rows[start:start] = seg_util.tolist()
-            self._insert_level_entries(
-                start, seg_util, seg_util / self._arrays.type_cost[None, :]
-            )
-        if self._edge_pos is not None:
-            cids = self._arrays.customer_ids[seg_rows].tolist()
-            for off, cid in enumerate(cids):
-                self._edge_pos[(cid, vendor_id)] = off
-            self._recount_segments()
+        joins: List[Tuple[int, np.ndarray, np.ndarray, List[int]]],
+        carried: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    ) -> List[np.ndarray]:
+        """Pair bases of the joining segments: the carried ones where
+        they cover the segment, the rest scored in one kernel call.
 
-    def _insert_level_entries(
-        self, start: int, seg_util: np.ndarray, seg_eff: np.ndarray
-    ) -> None:
-        """Splice per-edge best-type entries for a new segment into
-        every already-built affordability-level table (same argmax code
-        path as :meth:`_level_table`, so tie-breaking is identical)."""
-        for by, matrix in (("efficiency", seg_eff), ("utility", seg_util)):
-            for level, table in enumerate(self._level_tables[by]):
-                cols = self._level_cols[level]
-                if table is None or not cols:
-                    continue
-                if len(cols) == matrix.shape[1]:
-                    entries = np.argmax(matrix, axis=1).tolist()
-                else:
-                    sub = np.argmax(matrix[:, cols], axis=1)
-                    entries = np.asarray(cols)[sub].tolist()
-                table[start:start] = entries
+        The kernels reduce per edge with fixed-order ``einsum``
+        accumulations, so scoring segments on their own is bitwise equal
+        to the same rows of a cold full-table pass.
+        """
+        arrays = self._arrays
+        out: List[Optional[np.ndarray]] = []
+        for vid, rows, _, _ in joins:
+            got = None
+            if vid in carried:
+                got = self._gather_bases(rows, carried[vid])
+            if got is None and not len(rows):
+                got = np.zeros(0, dtype=self._bases.dtype)
+            out.append(got)
+        todo = [j for j, got in enumerate(out) if got is None]
+        if todo:
+            lengths = [len(joins[j][1]) for j in todo]
+            vendor_rows = [arrays.vendor_index[joins[j][0]] for j in todo]
+            bounds = np.cumsum([0] + lengths)
+            scored = _kernel_pair_bases(
+                self._problem.utility_model,
+                arrays,
+                CandidateEdges(
+                    customer_idx=np.concatenate(
+                        [joins[j][1] for j in todo]
+                    ),
+                    vendor_idx=np.repeat(
+                        np.asarray(vendor_rows, dtype=arrays.index_dtype),
+                        lengths,
+                    ),
+                    distance=np.concatenate([joins[j][2] for j in todo]),
+                    vendor_starts=bounds.astype(np.int64),
+                ),
+            )
+            if scored is None:  # pragma: no cover - guarded by create()
+                raise RuntimeError(
+                    "engine created for a model without a vectorized kernel"
+                )
+            for j, lo, hi in zip(todo, bounds[:-1], bounds[1:]):
+                out[j] = scored[lo:hi]
+        return out
 
-    def _remove_segment_caches(self, start: int, stop: int) -> None:
-        """Splice one segment's rows out of every derived cache."""
-        if start == stop:
+    def apply_delta(
+        self,
+        delta: ShardDelta,
+        bases: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
+    ) -> None:
+        """Splice one :class:`~repro.churn.ShardDelta` into the engine.
+
+        The problem applies the delta to its catalogue first
+        (``MUAAProblem.apply_delta``); the engine follows in one pass.
+        Vendor columns are laid out in the problem's new catalogue
+        order and the delta's admitted customers appended.  With a
+        built table, each per-edge structure is rewritten once from the
+        kept runs of segments and the joining vendors' new segments:
+        the edge table, pair bases and utilities are concatenated anew,
+        the utility rows and built level tables are spliced in place
+        (so a catalogue-end join or retire moves nothing), and the
+        point index and adjacency change only at the affected vendors'
+        keys.
+
+        A joining segment is enumerated by the scalar range query (the
+        per-vendor order of a cold build).  It takes its carried pair
+        bases from ``bases`` (vendor id -> another engine's
+        :meth:`segment_bases`) when they cover it; the other joining
+        segments are scored (:meth:`_join_bases`).  A vendor listed in
+        ``delta.deactivate``, joining or not, keeps its row but loses
+        its segment; its in-range customer ids are kept for the
+        adjacency.  A cold build applies ``churn.inactive`` through this
+        same splice (:meth:`install`), so a spliced engine is bitwise a
+        cold rebuild.  Idempotent, like every delta primitive.
+        """
+        old = self._arrays
+        admits = {
+            c.customer_id: c
+            for join in delta.join
+            for c in join.admit
+            if c.customer_id not in old.customer_index
+        }
+        arrays = old.with_customers_appended(list(admits.values()))
+        arrays = arrays.with_vendors(self._problem.vendors)
+        self._arrays = arrays
+        edges = self._edges
+        if edges is None:
             return
-        if self._bases is not None:
-            self._bases = np.concatenate([
-                self._bases[:start], self._bases[stop:]
-            ])
-        if self._utilities is not None:
-            self._utilities = np.concatenate([
-                self._utilities[:start], self._utilities[stop:]
-            ])
-        if self._util_rows is not None:
-            del self._util_rows[start:stop]
-        for by in ("efficiency", "utility"):
-            for table in self._level_tables[by]:
-                if table is not None:
-                    del table[start:stop]
-
-    def insert_vendor(
-        self,
-        vendor,
-        row: Optional[int] = None,
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        cleared: bool = False,
-    ) -> bool:
-        """Splice a new vendor (and its candidate segment) into the
-        engine at vendor row ``row`` (default: catalogue end).
-
-        The segment is enumerated with the scalar grid query (the exact
-        per-vendor order of a cold build) and scored with the same
-        fixed-order kernel, so queries after the delta are bitwise the
-        cold-rebuild answers.  ``bases`` (another engine's
-        :meth:`segment_bases` of this vendor) are gathered instead of
-        scored when they cover the segment.  ``cleared`` inserts the
-        vendor deactivated: its row and adjacency entries, an empty
-        segment, nothing scored (:meth:`restore_vendor` fills it).
-        Idempotent: a vendor already present is a no-op returning
-        ``False``.
-        """
-        arrays = self._arrays
-        if vendor.vendor_id in arrays.vendor_index:
-            return False
-        if row is None:
-            row = arrays.n_vendors
-        new_arrays = arrays.with_vendor_inserted(vendor, row)
-        if self._edges is None:
-            self._arrays = new_arrays
-            return True
         with recorder().span(
-            "engine.delta_insert", vendor=vendor.vendor_id
+            "engine.splice", shard=delta.shard, epoch=delta.epoch
         ):
-            seg_rows, dist = vendor_segment(self._problem, new_arrays, vendor)
-            listed = new_arrays.customer_ids[seg_rows].tolist()
-            if cleared:
-                self._cleared.add(vendor.vendor_id)
-                seg_rows = seg_rows[:0]
-                dist = dist[:0]
-            start = int(self._edges.vendor_starts[row])
-            self._edges = insert_vendor_segment(
-                self._edges, row, seg_rows, dist
-            )
-            self._arrays = new_arrays
-            self._install_segment(
-                row, start, seg_rows, dist, vendor.vendor_id, bases
-            )
-            if self._adjacency is not None:
-                vendor_index = new_arrays.vendor_index
-                for cid in listed:
-                    listed = self._adjacency.setdefault(cid, [])
-                    # Keep the per-customer vendor list in catalogue
-                    # (row) order; scans from the right so catalogue
-                    # appends stay O(1).
-                    i = len(listed)
-                    while i > 0 and vendor_index[listed[i - 1]] > row:
-                        i -= 1
-                    listed.insert(i, vendor.vendor_id)
-        return True
+            starts = edges.vendor_starts.tolist()
+            deactivate = set(delta.deactivate)
+            # The splice as edits of the old per-edge columns, in table
+            # order: ``(lo, hi, j)`` puts joining segment ``j`` (``None``:
+            # nothing) in place of old positions ``lo:hi``.
+            edits: List[Tuple[int, int, Optional[int]]] = []
+            counts: List[int] = []
+            joins: List[Tuple[int, np.ndarray, np.ndarray, List[int]]] = []
+            listed: List[Tuple[int, List[int]]] = []  # adjacency gains
+            delisted: List[Tuple[int, List[int]]] = []  # adjacency losses
+            unindexed: List[Tuple[int, List[int]]] = []  # point-index losses
+            at = 0  # old position after the last kept segment
 
-    def retire_vendor(self, vendor_id: int) -> bool:
-        """Splice a vendor's row and candidate segment out of the
-        engine.  Idempotent: an unknown vendor is a no-op."""
-        arrays = self._arrays
-        row = arrays.vendor_index.get(vendor_id)
-        if row is None:
-            return False
-        new_arrays = arrays.with_vendor_removed(row)
-        if self._edges is None:
-            self._arrays = new_arrays
-            self._cleared.discard(vendor_id)
-            return True
-        with recorder().span("engine.delta_retire", vendor=vendor_id):
-            start = int(self._edges.vendor_starts[row])
-            stop = int(self._edges.vendor_starts[row + 1])
-            cids = arrays.customer_ids[
-                self._edges.customer_idx[start:stop]
-            ].tolist()
-            self._edges = remove_vendor_segment(self._edges, row)
-            self._arrays = new_arrays
-            self._remove_segment_caches(start, stop)
-            if self._edge_pos is not None:
-                for cid in cids:
-                    self._edge_pos.pop((cid, vendor_id), None)
-                self._seg_start.pop(vendor_id, None)
-                self._recount_segments()
-            if self._adjacency is not None:
-                if vendor_id in self._cleared:
-                    # A deactivated vendor's segment is empty but its
-                    # adjacency entries were kept (for skip counting) --
-                    # sweep every list.
-                    for listed in self._adjacency.values():
-                        try:
-                            listed.remove(vendor_id)
-                        except ValueError:
-                            pass
+            def customers_of(lo: int, hi: int) -> List[int]:
+                return old.customer_ids[edges.customer_idx[lo:hi]].tolist()
+
+            for vid in arrays.vendor_ids.tolist():
+                old_row = old.vendor_index.get(vid)
+                if old_row is None:
+                    rows, dist = vendor_segment(
+                        self._problem, arrays, self._problem.vendors_by_id[vid]
+                    )
+                    in_range = arrays.customer_ids[rows].tolist()
+                    listed.append((vid, in_range))
+                    if vid in deactivate:
+                        self._cleared[vid] = in_range
+                        counts.append(0)
+                    else:
+                        edits.append((at, at, len(joins)))
+                        joins.append((vid, rows, dist, in_range))
+                        counts.append(len(rows))
+                    continue
+                lo, at = starts[old_row], starts[old_row + 1]
+                if vid in deactivate and vid not in self._cleared:
+                    self._cleared[vid] = customers_of(lo, at)
+                    unindexed.append((vid, self._cleared[vid]))
+                    edits.append((lo, at, None))
+                    counts.append(0)
                 else:
-                    for cid in cids:
-                        listed = self._adjacency.get(cid)
-                        if listed is not None:
-                            try:
-                                listed.remove(vendor_id)
-                            except ValueError:
-                                pass
-            self._cleared.discard(vendor_id)
-        return True
+                    counts.append(at - lo)
+            for vid, old_row in old.vendor_index.items():
+                if vid in arrays.vendor_index:
+                    continue
+                in_range = self._cleared.pop(vid, None)
+                if in_range is None:
+                    lo, hi = starts[old_row], starts[old_row + 1]
+                    in_range = customers_of(lo, hi)
+                    unindexed.append((vid, in_range))
+                    edits.append((lo, hi, None))
+                delisted.append((vid, in_range))
+            # Stable: insertions at one position keep catalogue order and
+            # precede a removal starting there.
+            edits.sort(key=lambda edit: edit[:2])
 
-    def deactivate_exhausted(self, vendor_ids: Iterable[int]) -> int:
-        """Splice the candidate segments of exhausted vendors out while
-        keeping their rows (budget bookkeeping stays intact).
+            def stitch(column: np.ndarray, fresh: List) -> np.ndarray:
+                pieces, kept_from = [], 0
+                for lo, hi, j in edits:
+                    pieces.append(column[kept_from:lo])
+                    if j is not None:
+                        pieces.append(fresh[j])
+                    kept_from = hi
+                pieces.append(column[kept_from:])
+                return np.concatenate(pieces)
 
-        A vendor whose remaining budget is below the cheapest ad price
-        can never serve another ad, so emptying its segment is
-        behaviour-preserving; the per-customer adjacency keeps listing
-        it so ``MUAAProblem.valid_vendor_ids`` can count the skip.
-        Idempotent per vendor; returns the number newly deactivated.
-        """
-        cleared = 0
-        for vendor_id in vendor_ids:
-            row = self._arrays.vendor_index.get(vendor_id)
-            if (
-                row is None
-                or vendor_id in self._cleared
-                or self._edges is None
-            ):
-                continue
-            start = int(self._edges.vendor_starts[row])
-            stop = int(self._edges.vendor_starts[row + 1])
-            if stop > start:
-                cids = self._arrays.customer_ids[
-                    self._edges.customer_idx[start:stop]
-                ].tolist()
-                self._edges = clear_vendor_segment(self._edges, row)
-                self._remove_segment_caches(start, stop)
-                if self._edge_pos is not None:
-                    for cid in cids:
-                        self._edge_pos.pop((cid, vendor_id), None)
-                    self._recount_segments()
-            self._cleared.add(vendor_id)
-            cleared += 1
-        if cleared:
-            recorder().count("engine.vendors_deactivated", cleared)
-        return cleared
+            def stitch_in_place(column: List, fresh: List) -> None:
+                for lo, hi, j in reversed(edits):
+                    column[lo:hi] = () if j is None else fresh[j]
 
-    def restore_vendor(self, vendor_id: int) -> bool:
-        """Rebuild a deactivated vendor's segment in place -- the
-        inverse of :meth:`deactivate_exhausted` (the rebuilt values are
-        bitwise the originals)."""
-        if vendor_id not in self._cleared:
-            return False
-        self._cleared.discard(vendor_id)
-        row = self._arrays.vendor_index.get(vendor_id)
-        if row is None or self._edges is None:
-            return False
-        vendor = self._problem.vendors_by_id.get(vendor_id)
-        if vendor is None:
-            # Engine-only insert: rebuild the entity from the columns.
-            from repro.core.entities import Vendor
-
-            arrays = self._arrays
-            vendor = Vendor(
-                vendor_id=vendor_id,
-                location=tuple(arrays.vendor_xy[row].tolist()),
-                radius=float(arrays.radius[row]),
-                budget=float(arrays.budget[row]),
-                tags=None if arrays.tags is None else arrays.tags[row],
+            vendor_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=vendor_starts[1:])
+            self._edges = CandidateEdges(
+                customer_idx=stitch(
+                    edges.customer_idx, [join[1] for join in joins]
+                ),
+                vendor_idx=np.repeat(
+                    np.arange(len(counts), dtype=edges.vendor_idx.dtype),
+                    counts,
+                ),
+                distance=stitch(edges.distance, [join[2] for join in joins]),
+                vendor_starts=vendor_starts,
             )
-        seg_rows, dist = vendor_segment(self._problem, self._arrays, vendor)
-        start = int(self._edges.vendor_starts[row])
-        self._edges = fill_vendor_segment(self._edges, row, seg_rows, dist)
-        self._install_segment(row, start, seg_rows, dist, vendor_id)
-        return True
+            if self._bases is not None:
+                fresh = self._join_bases(joins, bases or {})
+                self._bases = stitch(self._bases, fresh)
+                # All joining rows at once, cut back per segment.
+                bounds = np.cumsum([0] + [len(seg) for seg in fresh])
+                utilities = (
+                    np.concatenate([self._bases[:0]] + fresh)[:, None]
+                    * arrays.type_effectiveness[None, :]
+                )
+
+                def per_join(values) -> List:
+                    return [
+                        values[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+                    ]
+
+                if self._utilities is not None:
+                    self._utilities = stitch(
+                        self._utilities, per_join(utilities)
+                    )
+                if self._util_rows is not None:
+                    stitch_in_place(
+                        self._util_rows, per_join(utilities.tolist())
+                    )
+                for by, tables in self._level_tables.items():
+                    for level, table in enumerate(tables):
+                        if table is not None:
+                            stitch_in_place(table, per_join(
+                                self._best_types(utilities, by, level)
+                            ))
+            if self._edge_pos is not None:
+                for vid, in_range in unindexed:
+                    for cid in in_range:
+                        self._edge_pos.pop((cid, vid), None)
+                for vid, _, _, in_range in joins:
+                    for off, cid in enumerate(in_range):
+                        self._edge_pos[(cid, vid)] = off
+                self._seg_start = dict(
+                    zip(arrays.vendor_ids.tolist(), vendor_starts[:-1].tolist())
+                )
+            if self._adjacency is not None:
+                for cid in admits:
+                    self._adjacency.setdefault(cid, [])
+                for vid, in_range in delisted:
+                    for cid in in_range:
+                        vendors = self._adjacency.get(cid)
+                        if vendors is not None and vid in vendors:
+                            vendors.remove(vid)
+                for vid, in_range in listed:
+                    self._list_vendor(vid, in_range)
 
     # ------------------------------------------------------------------
     # Certified pruning and artifact persistence (docs/scale.md)
@@ -849,20 +828,3 @@ class ComputeEngine:
         from repro.store import load_engine
 
         return load_engine(path, problem, mmap=mmap)
-
-    def admit_customers(self, customers: Sequence) -> int:
-        """Append new customer rows (shard-view admits during a cell
-        migration).  Existing edges keep their row references; the new
-        customers gain edges only through subsequent vendor inserts."""
-        fresh = [
-            c for c in customers
-            if c.customer_id not in self._arrays.customer_index
-        ]
-        if not fresh:
-            return 0
-        self._arrays = self._arrays.with_customers_appended(fresh)
-        if self._adjacency is not None:
-            for customer in fresh:
-                self._adjacency.setdefault(customer.customer_id, [])
-        return len(fresh)
-

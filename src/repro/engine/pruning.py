@@ -18,8 +18,8 @@ Two levels:
   - *unaffordable vendors*: a budget below the cheapest ad price
     (``min_cost > budget + 1e-9``, the exact affordability tolerance of
     ``MUAAProblem.best_instance_for_pair``) admits no integral
-    assignment at all, mirroring the argument behind
-    ``ComputeEngine.deactivate_exhausted``.
+    assignment at all -- the argument by which a run's assignment
+    marks a vendor exhausted (``Assignment.exhausted``).
 
 * ``"lp"`` -- additionally drops edges whose best budget efficiency is
   strictly below their vendor's LP marginal efficiency.  The per-vendor

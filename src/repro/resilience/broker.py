@@ -105,9 +105,9 @@ class ResilienceStats(BreakerHistory):
             attempt (the ad was decided but never delivered).
         arrivals_dropped: Customers lost upstream of the broker.
         arrivals_reordered: Customers delivered out of arrival order.
-        exhausted_skips: Candidate-scan skips of vendors whose budget
-            was exhausted (the work saved by
-            ``deactivate_exhausted``-style filtering).
+        exhausted_skips: Candidate-scan skips of deactivated vendors
+            and of vendors the run's assignment has exhausted
+            (``churn.skips``; see ``MUAAProblem.valid_vendor_ids``).
         vendors_deactivated: Vendors auto-deactivated after their
             remaining budget dropped below the cheapest ad price.
         churn_epoch: The churn epoch at the end of the run (0 when no

@@ -345,13 +345,15 @@ def load_engine(
         policy=policy,
     )
     engine = ComputeEngine(problem, arrays)
-    engine._edges = CandidateEdges(
-        customer_idx=columns["customer_idx"],
-        vendor_idx=columns["vendor_idx"],
-        distance=columns["distance"],
-        vendor_starts=columns["vendor_starts"],
+    engine.install(
+        CandidateEdges(
+            customer_idx=columns["customer_idx"],
+            vendor_idx=columns["vendor_idx"],
+            distance=columns["distance"],
+            vendor_starts=columns["vendor_starts"],
+        ),
+        columns["bases"],
     )
-    engine._bases = columns["bases"]
     if meta.get("prune"):
         from repro.engine.pruning import PruneCertificate
 

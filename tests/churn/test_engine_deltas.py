@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.greedy import GreedyEfficiency
+from repro.algorithms.recon import Reconciliation
 from repro.churn import (
     KIND_INSERT,
     KIND_MIGRATE,
@@ -17,33 +19,37 @@ from repro.churn import (
     seeded_vendor_churn,
 )
 from repro.core.assignment import COMMITTED, AdInstance
-from tests.churn.conftest import fresh_vendor, make_problem, segments
+from repro.core.problem import MUAAProblem
+from tests.churn.conftest import (
+    assert_same_state,
+    cold_state,
+    engine_state,
+    fresh_vendor,
+    make_problem,
+    segments,
+    triples,
+)
 
 
 class TestDeltaParity:
     def test_fifty_mixed_deltas_match_cold_rebuild(self):
-        problem = make_problem(n_customers=300, n_vendors=40, seed=5)
-        problem.acquire_engine().warm()
-        schedule = seeded_vendor_churn(problem, 50, seed=9, n_ticks=50)
-        for event in schedule.events:
-            problem.apply_churn(event)
-        assert problem.churn.epoch == 50
-        spliced = segments(problem, problem.engine)
-        inactive = set(problem.churn.inactive)
-        problem.drop_engine()
-        cold_engine = problem.acquire_engine()
-        cold_engine.warm()
-        cold = segments(problem, cold_engine)
-        assert spliced.keys() == cold.keys()
-        for vid, (cold_bases, cold_utilities) in cold.items():
-            spliced_bases, spliced_utilities = spliced[vid]
-            if vid in inactive:
-                # The delta path splices deactivated vendors out; the
-                # cold build keeps them and filters at scan time.
-                assert len(spliced_bases) == 0
-                continue
-            assert np.array_equal(spliced_bases, cold_bases), vid
-            assert np.array_equal(spliced_utilities, cold_utilities), vid
+        # The full engine state -- segments, level tables, cleared
+        # vendors, adjacency -- with no exception for deactivations.
+        for backend in ("grid", "kdtree"):
+            base = make_problem(n_customers=300, n_vendors=40, seed=5)
+            problem = MUAAProblem(
+                base.customers, base.vendors, base.ad_types,
+                base.utility_model, spatial_backend=backend,
+            )
+            problem.acquire_engine().warm()
+            schedule = seeded_vendor_churn(problem, 50, seed=9, n_ticks=50)
+            for event in schedule.events:
+                problem.apply_churn(event)
+            assert problem.churn.epoch == 50
+            assert problem.churn.inactive, "the schedule must deactivate"
+            spliced = engine_state(problem)
+            assert spliced["cleared"] == problem.churn.inactive
+            assert_same_state(spliced, cold_state(problem))
 
     def test_insert_splices_bitwise_equal_segment(self):
         problem = make_problem()
@@ -71,18 +77,79 @@ class TestDeltaParity:
         assert problem.engine.num_edges == before - seg
         assert victim not in segments(problem, problem.engine)
 
-    def test_deactivate_and_reactivate_round_trip(self):
+    def test_deactivate_then_cold_build_gives_equal_state(self):
         problem = make_problem()
         problem.acquire_engine().warm()
         victim = problem.vendors[5].vendor_id
-        original = segments(problem, problem.engine)[victim]
+        in_range = problem.valid_customer_ids(problem.vendors_by_id[victim])
         assert problem.deactivate_vendors([victim]) == 1
-        assert len(segments(problem, problem.engine)[victim][0]) == 0
-        assert victim in problem.churn.inactive
-        assert problem.reactivate_vendors([victim]) == 1
-        restored = segments(problem, problem.engine)[victim]
-        assert np.array_equal(restored[0], original[0])
-        assert np.array_equal(restored[1], original[1])
+        spliced = engine_state(problem)
+        assert len(spliced["segments"][victim][0]) == 0
+        assert spliced["cleared"] == {victim}
+        for cid in in_range:  # still listed, so scans count the skip
+            assert victim in spliced["adjacency"][cid]
+        assert_same_state(spliced, cold_state(problem))
+
+
+class TestDeactivatedVendorsEverywhere:
+    """Deactivated vendors are out of every candidate set, whenever the
+    engine was built and with no engine at all."""
+
+    DORMANT = (12, 15, 2)
+
+    def _problem(self, way):
+        base = make_problem()
+        problem = MUAAProblem(
+            base.customers, base.vendors, base.ad_types, base.utility_model,
+            use_engine=way != "scalar",
+        )
+        if way == "warm_before":
+            problem.acquire_engine().warm()
+        assert problem.deactivate_vendors(self.DORMANT) == len(self.DORMANT)
+        if way == "built_after":
+            problem.acquire_engine().warm()
+        return problem
+
+    @pytest.mark.parametrize(
+        "solver", [GreedyEfficiency, Reconciliation], ids=["greedy", "recon"]
+    )
+    def test_offline_solvers_agree_on_build_timing(self, solver):
+        runs = {}
+        for way in ("warm_before", "built_after", "scalar"):
+            problem = self._problem(way)
+            assert all(
+                vid not in self.DORMANT for _, vid in problem.valid_pairs()
+            )
+            assert all(
+                inst.vendor_id not in self.DORMANT
+                for inst in problem.candidate_instances()
+            )
+            runs[way] = triples(solver().solve(problem))
+        assert runs["warm_before"], "the solver must place ads"
+        assert runs["built_after"] == runs["warm_before"]
+        assert runs["scalar"] == runs["warm_before"]
+        assert all(vid not in self.DORMANT for _, vid, _ in runs["scalar"])
+
+    def test_skip_counts_do_not_depend_on_build_timing(self):
+        skips = []
+        for warm in (True, False):
+            problem = make_problem()
+            engine = problem.acquire_engine()
+            if warm:
+                engine.warm()
+            else:
+                engine.pair_bases  # edges and bases, no adjacency yet
+            victim = self.DORMANT[0]
+            in_range = problem.valid_customer_ids(
+                problem.vendors_by_id[victim]
+            )
+            problem.deactivate_vendors([victim])
+            before = problem.churn.skips
+            for cid in in_range:
+                customer = problem.customers_by_id[cid]
+                assert victim not in problem.valid_vendor_ids(customer)
+            skips.append(problem.churn.skips - before)
+        assert skips[0] == skips[1] == len(in_range) > 0
 
 
 class TestIdempotency:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 
-import numpy as np
 import pytest
 
 import repro.core.problem as problem_mod
@@ -17,7 +16,13 @@ from repro.exceptions import InvalidProblemError
 from repro.scenario import CustomerMove, MoveSchedule
 from repro.sharding import ShardPlan
 from repro.sharding.plan import METADATA_SCHEMA_VERSION
-from tests.churn.conftest import fresh_vendor, make_problem
+from tests.churn.conftest import (
+    assert_same_state,
+    cold_state,
+    engine_state,
+    fresh_vendor,
+    make_problem,
+)
 from tests.conftest import within_seconds
 
 
@@ -150,65 +155,6 @@ class TestMigrateCells:
         assert plan.epoch == 1
 
 
-def _engine_state(view):
-    """Everything a migration splices into a view's engine, per vendor
-    segment: customer order, pair bases, utilities and the entries of
-    every built best-type level table; plus the cleared vendors and
-    every customer's candidate adjacency."""
-    engine = view.engine
-    starts = engine.edges.vendor_starts.tolist()
-    customer_ids = engine.arrays.customer_ids[engine.edges.customer_idx]
-    bases, utilities = engine.pair_bases, engine.utilities()
-    # Private: the level tables are spliced state a migration maintains.
-    tables = {
-        (by, level): table
-        for by, per_level in engine._level_tables.items()
-        for level, table in enumerate(per_level)
-        if table is not None
-    }
-    segments = {}
-    for row, vendor in enumerate(view.vendors):
-        lo, hi = starts[row], starts[row + 1]
-        segments[vendor.vendor_id] = (
-            customer_ids[lo:hi],
-            bases[lo:hi],
-            utilities[lo:hi],
-            {key: np.asarray(table[lo:hi]) for key, table in tables.items()},
-        )
-    return {
-        "segments": segments,
-        "cleared": engine.cleared_vendors,
-        "adjacency": {
-            cid: engine.vendors_in_range(cid) for cid in view.customers_by_id
-        },
-    }
-
-
-def _assert_same_state(spliced, cold):
-    """Bitwise equal engine states."""
-    assert spliced["cleared"] == cold["cleared"]
-    assert spliced["adjacency"] == cold["adjacency"]
-    assert spliced["segments"].keys() == cold["segments"].keys()
-    for vid, want in cold["segments"].items():
-        got = spliced["segments"][vid]
-        for got_col, want_col in zip(got[:3], want[:3]):
-            assert np.array_equal(got_col, want_col), vid
-        assert got[3].keys() == want[3].keys()
-        for key in want[3]:
-            assert np.array_equal(got[3][key], want[3][key]), (vid, key)
-
-
-def _cold_state(view):
-    """The view's engine rebuilt from scratch, with the deactivations
-    the delta path applied (a cold build keeps every segment)."""
-    view.drop_engine()
-    view.acquire_engine().warm()
-    view.engine.deactivate_exhausted(
-        [vid for vid in view.vendors_by_id if vid in view.churn.inactive]
-    )
-    return _engine_state(view)
-
-
 def _busiest_cell(problem, plan, shard):
     """``(cell, vendor ids)`` of the shard's cell holding most vendors."""
     by_cell = {}
@@ -218,15 +164,17 @@ def _busiest_cell(problem, plan, shard):
     return max(sorted(by_cell.items()), key=lambda item: len(item[1]))
 
 
-def _counting(monkeypatch, module, name):
+def _counting(monkeypatch, owner, name):
+    """Record the first argument of every call to ``owner.name`` (the
+    instance, for a method)."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0] if args else None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -259,21 +207,28 @@ class TestMigrationCarriesState:
             plan.apply_churn(
                 ChurnEvent(kind=KIND_DEACTIVATE, vendor_id=moved[0])
             )
+        engines = [plan.problem_for(0).engine, plan.problem_for(1).engine]
         index_builds = _counting(monkeypatch, problem_mod, "build_customer_index")
         kernel_calls = _counting(monkeypatch, engine_mod, "_kernel_pair_bases")
+        splices = _counting(
+            monkeypatch, engine_mod.ComputeEngine, "apply_delta"
+        )
         deltas = plan.migrate_cells([cell], src=0, dst=1)
         assert index_builds == []
         assert kernel_calls == []
+        # One splice per touched view, whatever the number of vendors.
+        assert len(splices) == 2
+        assert all(got is want for got, want in zip(splices, engines))
         assert deltas[1].deactivate == (tuple(moved[:1]) if dormant else ())
         dst = plan.problem_for(1)
         for vid in moved:
             assert vid in dst.vendors_by_id
-        spliced = _engine_state(dst)
+        spliced = engine_state(dst)
         if dormant:
             assert moved[0] in spliced["cleared"]
             assert len(spliced["segments"][moved[0]][0]) == 0
         monkeypatch.undo()
-        _assert_same_state(spliced, _cold_state(dst))
+        assert_same_state(spliced, cold_state(dst))
 
     def test_deactivated_vendor_stays_dormant_after_migrating(self):
         problem = make_problem()
@@ -307,7 +262,7 @@ class TestMigrationCarriesState:
         assert [v.vendor_id for v in worker.vendors] == [
             v.vendor_id for v in view.vendors
         ]
-        _assert_same_state(_engine_state(worker), _engine_state(view))
+        assert_same_state(engine_state(worker), engine_state(view))
 
 
 class TestMetadataRoundTrip:
