@@ -22,7 +22,7 @@ from repro.algorithms.base import OfflineAlgorithm
 from repro.core.assignment import AdInstance, Assignment
 from repro.core.entities import Vendor
 from repro.core.problem import MUAAProblem
-from repro.mckp.items import MCKPInstance, MCKPItem
+from repro.mckp.items import MCKPColumns, single_vendor_mckp
 from repro.mckp.solvers import solve as solve_mckp
 from repro.obs.recorder import recorder
 from repro.parallel import ParallelConfig, parallel_map, resolve
@@ -111,47 +111,9 @@ class Reconciliation(OfflineAlgorithm):
     def _solve_single_vendor_inner(
         self, problem: MUAAProblem, vendor: Vendor
     ) -> List[AdInstance]:
-        items: List[MCKPItem] = []
-        engine = problem.acquire_engine()
-        if engine is not None:
-            # The vendor's candidates are one contiguous slice of the
-            # engine's edge table, utilities pre-scored.
-            arrays = engine.arrays
-            span = engine.vendor_edge_slice(vendor.vendor_id)
-            utilities = engine.utilities()[span]
-            customer_rows = engine.edges.customer_idx[span]
-            for local, cu in enumerate(customer_rows.tolist()):
-                customer_id = int(arrays.customer_ids[cu])
-                for k, ad_type in enumerate(problem.ad_types):
-                    utility = float(utilities[local, k])
-                    if utility > 0 and ad_type.cost <= vendor.budget + _EPS:
-                        items.append(
-                            MCKPItem(
-                                class_id=customer_id,
-                                item_id=ad_type.type_id,
-                                cost=ad_type.cost,
-                                profit=utility,
-                            )
-                        )
-        elif vendor.vendor_id not in problem.churn.inactive:
-            # A deactivated vendor offers no candidates (its engine
-            # segment is empty).
-            for customer_id in problem.valid_customer_ids(vendor):
-                for inst in problem.pair_instances(
-                    customer_id, vendor.vendor_id
-                ):
-                    if inst.utility > 0 and inst.cost <= vendor.budget + _EPS:
-                        items.append(
-                            MCKPItem(
-                                class_id=customer_id,
-                                item_id=inst.type_id,
-                                cost=inst.cost,
-                                profit=inst.utility,
-                            )
-                        )
-        if not items:
+        mckp = vendor_mckp(problem, vendor)
+        if mckp is None:
             return []
-        mckp = MCKPInstance.from_items(items, budget=vendor.budget)
         solution = solve_mckp(mckp, method=self._mckp_method)
         return [
             problem.make_instance(customer_id, vendor.vendor_id, item.item_id)
@@ -196,8 +158,16 @@ class Reconciliation(OfflineAlgorithm):
             "edge_customer": np.asarray(edges.customer_idx, dtype=np.int64),
             "vendor_starts": np.asarray(edges.vendor_starts, dtype=np.int64),
             "customer_ids": arrays.customer_ids,
-            "budget": arrays.budget,
-            "type_cost": arrays.type_cost,
+            # Budgets and costs as the serial loop reads them (the
+            # entities' float64 values, whatever the engine's dtype).
+            "budget": np.array(
+                [
+                    problem.vendors_by_id[vendor_id].budget
+                    for vendor_id in arrays.vendor_ids.tolist()
+                ],
+                dtype=np.float64,
+            ),
+            "type_cost": _type_costs(problem),
             "type_ids": arrays.type_ids,
         }
         with ship_columns(columns) as shipment:
@@ -293,6 +263,46 @@ class Reconciliation(OfflineAlgorithm):
         )
         self.last_stats = stats
         return assignment
+
+
+def _type_costs(problem: MUAAProblem) -> np.ndarray:
+    """The ad-type catalogue's costs as float64, in catalogue order."""
+    return np.array([t.cost for t in problem.ad_types], dtype=np.float64)
+
+
+def vendor_mckp(problem: MUAAProblem, vendor: Vendor) -> Optional[MCKPColumns]:
+    """The single-vendor problem :math:`\\mathbb{M}_j` (Eq. 8) of one vendor.
+
+    With a built engine, the vendor's candidates are one contiguous
+    slice of the edge table, utilities pre-scored; otherwise they come
+    from the range query and the scalar utility model.  A deactivated
+    vendor offers no candidates (its engine segment is empty).
+    """
+    engine = problem.acquire_engine()
+    if engine is not None:
+        span = engine.vendor_edge_slice(vendor.vendor_id)
+        utilities = engine.utilities()[span]
+        customer_ids = engine.arrays.customer_ids[
+            engine.edges.customer_idx[span]
+        ]
+    elif vendor.vendor_id in problem.churn.inactive:
+        return None
+    else:
+        customer_ids = problem.valid_customer_ids(vendor)
+        utilities = [
+            [
+                inst.utility
+                for inst in problem.pair_instances(cid, vendor.vendor_id)
+            ]
+            for cid in customer_ids
+        ]
+    return single_vendor_mckp(
+        utilities,
+        customer_ids,
+        _type_costs(problem),
+        [t.type_id for t in problem.ad_types],
+        vendor.budget,
+    )
 
 
 def reconcile_capacity(

@@ -101,18 +101,29 @@ def batched_positive_preferences(
             raise ValueError("activity weights must have positive sum")
 
         # Per-entity weighted moments, restricted to the customers that
-        # actually appear in this bucket.
+        # actually appear in this bucket.  Vendors are restricted too
+        # when the bucket has fewer edges than there are vendors (a
+        # small segment, such as one joining vendor's); otherwise most
+        # vendors appear, and gathering their rows costs more than
+        # scoring them all.  Row sums are row-stable, so an entity's
+        # moments are the same floats whichever rows they come with.
         cust_rows = np.unique(cust[sel])
         sub = interests[cust_rows]
         mu_c = _row_weighted_sums(sub, weights) / total
         dc = sub - mu_c[:, None]
         var_c = _row_weighted_sums(dc * dc, weights) / total
-        mu_v = _row_weighted_sums(tags, weights) / total
-        dv = tags - mu_v[:, None]
+        local_c = np.searchsorted(cust_rows, cust[sel])
+        if len(sel) < len(tags):
+            vend_rows = np.unique(vend[sel])
+            local_v = np.searchsorted(vend_rows, vend[sel])
+        else:
+            vend_rows = slice(None)
+            local_v = vend[sel]
+        sub = tags[vend_rows]
+        mu_v = _row_weighted_sums(sub, weights) / total
+        dv = sub - mu_v[:, None]
         var_v = _row_weighted_sums(dv * dv, weights) / total
 
-        local_c = np.searchsorted(cust_rows, cust[sel])
-        local_v = vend[sel]
         denom = np.sqrt(var_c[local_c] * var_v[local_v])
         defined = (var_c[local_c] > VARIANCE_EPS) & (
             var_v[local_v] > VARIANCE_EPS

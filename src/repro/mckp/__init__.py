@@ -7,9 +7,16 @@ from repro.mckp.dominance import (
     remove_lp_dominated,
 )
 from repro.mckp.dynamic_programming import solve_dp_by_cost, solve_fptas
-from repro.mckp.items import MCKPInstance, MCKPItem, MCKPSolution
+from repro.mckp.items import (
+    MCKPColumns,
+    MCKPInstance,
+    MCKPItem,
+    MCKPSolution,
+    single_vendor_mckp,
+)
 from repro.mckp.lp_relaxation import (
     LPRelaxationResult,
+    greedy_lp,
     solve_greedy,
     solve_lp_relaxation,
 )
@@ -22,10 +29,13 @@ __all__ = [
     "remove_lp_dominated",
     "solve_dp_by_cost",
     "solve_fptas",
+    "MCKPColumns",
     "MCKPInstance",
     "MCKPItem",
     "MCKPSolution",
+    "single_vendor_mckp",
     "LPRelaxationResult",
+    "greedy_lp",
     "solve_greedy",
     "solve_lp_relaxation",
     "SOLVER_NAMES",

@@ -11,7 +11,18 @@ matching the :math:`\\sum_k x_{iok} \\le 1` constraint of Eq. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.exceptions import InvalidProblemError
 
@@ -99,6 +110,93 @@ class MCKPInstance:
     def all_items(self) -> List[MCKPItem]:
         """Every item, flattened."""
         return [item for items in self.classes.values() for item in items]
+
+
+@dataclass(frozen=True, eq=False)
+class MCKPColumns:
+    """An MCKP instance stored column-wise over one shared item catalogue.
+
+    Row ``r`` is class ``class_ids[r]``; column ``k`` is catalogue item
+    ``item_ids[k]`` at cost ``cost[k]``.  This is the single-vendor
+    problem's native layout (classes = customers, items = ad types), so
+    the greedy LP-relaxation solves it without per-item objects.
+
+    Attributes:
+        profit: ``(n, K)`` float64 profits; ``NaN`` where the class
+            offers no such item.
+        cost: ``(K,)`` float64 item costs.
+        budget: Knapsack capacity.
+        class_ids: ``n`` class ids, in class order.
+        item_ids: ``K`` item ids, in catalogue order.
+    """
+
+    profit: np.ndarray
+    cost: np.ndarray
+    budget: float
+    class_ids: List[Hashable]
+    item_ids: List[Hashable]
+
+    def item(self, row: int, col: int) -> MCKPItem:
+        """The item in class row ``row``, catalogue column ``col``."""
+        return MCKPItem(
+            class_id=self.class_ids[row],
+            item_id=self.item_ids[col],
+            cost=float(self.cost[col]),
+            profit=float(self.profit[row, col]),
+        )
+
+    def to_instance(self) -> MCKPInstance:
+        """The same problem as per-item objects (classes in row order,
+        items in catalogue order), for the item-based backends."""
+        rows, cols = np.nonzero(~np.isnan(self.profit))
+        return MCKPInstance.from_items(
+            [self.item(r, c) for r, c in zip(rows.tolist(), cols.tolist())],
+            budget=self.budget,
+        )
+
+
+#: A single-vendor problem offers an ad type only when the vendor's
+#: budget affords it alone (within this tolerance).
+_AFFORD_EPS = 1e-9
+
+
+def single_vendor_mckp(
+    utilities: np.ndarray,
+    customer_ids: Sequence[int],
+    type_cost: np.ndarray,
+    type_ids: Sequence[int],
+    budget: float,
+) -> Optional[MCKPColumns]:
+    """One vendor's single-vendor problem (Eq. 8) as a column-wise MCKP.
+
+    Args:
+        utilities: ``(n, K)`` utilities of the vendor's candidate
+            customers (any float dtype; widened to float64).
+        customer_ids: The ``n`` candidate customer ids, in row order.
+        type_cost: ``(K,)`` ad-type costs, in catalogue order.
+        type_ids: The ``K`` ad-type ids, in catalogue order.
+        budget: The vendor's budget.
+
+    Returns:
+        The MCKP with one class per customer offering every ad type of
+        positive utility that the budget affords, or ``None`` when no
+        customer is offered anything.
+    """
+    profit = np.array(utilities, dtype=np.float64).reshape(
+        len(customer_ids), len(type_ids)
+    )
+    cost = np.asarray(type_cost, dtype=np.float64)
+    offered = (profit > 0) & (cost <= budget + _AFFORD_EPS)
+    if not offered.any():
+        return None
+    profit[~offered] = np.nan
+    return MCKPColumns(
+        profit=profit,
+        cost=cost,
+        budget=budget,
+        class_ids=np.asarray(customer_ids).tolist(),
+        item_ids=np.asarray(type_ids).tolist(),
+    )
 
 
 @dataclass

@@ -13,13 +13,13 @@ solver-ablation benchmark) pick the backend by name:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Union
 
 from repro.exceptions import SolverError
 from repro.lp.model import LinearProgram
 from repro.mckp.branch_and_bound import solve_branch_and_bound
 from repro.mckp.dynamic_programming import solve_dp_by_cost, solve_fptas
-from repro.mckp.items import MCKPInstance, MCKPSolution
+from repro.mckp.items import MCKPColumns, MCKPInstance, MCKPSolution
 from repro.mckp.lp_relaxation import solve_greedy, solve_lp_relaxation
 
 #: Names accepted by :func:`solve`.
@@ -71,8 +71,13 @@ _BACKENDS: Dict[str, Callable[[MCKPInstance], MCKPSolution]] = {
 }
 
 
-def solve(instance: MCKPInstance, method: str = "greedy-lp") -> MCKPSolution:
+def solve(
+    instance: Union[MCKPInstance, MCKPColumns], method: str = "greedy-lp"
+) -> MCKPSolution:
     """Solve an MCKP instance with the named backend.
+
+    ``greedy-lp`` solves a column-wise instance as it is; every other
+    backend gets its per-item form.
 
     Raises:
         SolverError: On an unknown method name.
@@ -83,4 +88,6 @@ def solve(instance: MCKPInstance, method: str = "greedy-lp") -> MCKPSolution:
         raise SolverError(
             f"unknown MCKP solver {method!r}; choose from {SOLVER_NAMES}"
         ) from None
+    if isinstance(instance, MCKPColumns) and method != "greedy-lp":
+        instance = instance.to_instance()
     return backend(instance)

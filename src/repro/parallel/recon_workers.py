@@ -4,10 +4,10 @@ The parent (:class:`repro.algorithms.recon.Reconciliation`) ships the
 engine's pre-scored state -- the ``(E, K)`` utility matrix, the
 vendor-major edge table offsets, customer ids, budgets and the ad-type
 catalogue columns -- through one shared-memory block.  Each worker task
-is a contiguous ``[lo, hi)`` range of vendor rows; the worker rebuilds
-each vendor's MCKP instance from its edge slice (in exactly the serial
-enumeration order, so tie-breaking matches) and solves it with the
-configured backend.
+is a contiguous ``[lo, hi)`` range of vendor rows; the worker builds
+each vendor's MCKP from its edge slice with
+:func:`~repro.mckp.items.single_vendor_mckp`, the builder the serial
+loop uses, and solves it with the configured backend.
 
 Workers return plain ``(vendor_row, [(customer_id, type_id), ...])``
 tuples; the parent re-materialises :class:`AdInstance` objects through
@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.mckp.items import MCKPInstance, MCKPItem
+from repro.mckp.items import single_vendor_mckp
 from repro.mckp.solvers import solve as solve_mckp
 from repro.obs.recorder import recorder
 from repro.parallel.shm import AttachedColumns, ColumnHandle, attach_columns
-
-#: Cost-affordability tolerance; must match ``repro.algorithms.recon``.
-_EPS = 1e-9
 
 #: Per-process worker state: (attached columns, mckp method).
 _STATE: Optional[Tuple[AttachedColumns, str]] = None
@@ -48,41 +45,26 @@ def solve_vendor_span(span: Tuple[int, int]) -> List[Tuple[int, VendorChoice]]:
     edge_customer = columns["edge_customer"]
     starts = columns["vendor_starts"]
     customer_ids = columns["customer_ids"]
-    budgets = columns["budget"]
-    type_cost = columns["type_cost"].tolist()
-    type_ids = columns["type_ids"].tolist()
+    budgets = columns["budget"].tolist()
+    type_cost = columns["type_cost"]
+    type_ids = columns["type_ids"]
 
     lo, hi = span
     rec = recorder()
     results: List[Tuple[int, VendorChoice]] = []
     for vendor_row in range(lo, hi):
         with rec.span("recon.vendor", vendor_row=vendor_row):
-            budget = float(budgets[vendor_row])
-            span_lo = int(starts[vendor_row])
-            span_hi = int(starts[vendor_row + 1])
-            util = utilities[span_lo:span_hi]
-            customer_rows = edge_customer[span_lo:span_hi].tolist()
-            items: List[MCKPItem] = []
-            # Same nesting and filters as the serial engine path in
-            # ``Reconciliation._solve_single_vendor``: customers in edge
-            # order, ad types in catalogue order.
-            for local, cu in enumerate(customer_rows):
-                customer_id = int(customer_ids[cu])
-                for k, cost in enumerate(type_cost):
-                    utility = float(util[local, k])
-                    if utility > 0 and cost <= budget + _EPS:
-                        items.append(
-                            MCKPItem(
-                                class_id=customer_id,
-                                item_id=int(type_ids[k]),
-                                cost=cost,
-                                profit=utility,
-                            )
-                        )
-            if not items:
+            edges = slice(int(starts[vendor_row]), int(starts[vendor_row + 1]))
+            mckp = single_vendor_mckp(
+                utilities[edges],
+                customer_ids[edge_customer[edges]],
+                type_cost,
+                type_ids,
+                budgets[vendor_row],
+            )
+            if mckp is None:
                 results.append((vendor_row, []))
                 continue
-            mckp = MCKPInstance.from_items(items, budget=budget)
             solution = solve_mckp(mckp, method=method)
             results.append(
                 (

@@ -8,6 +8,7 @@ function of the seed, never of pool scheduling.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.recon import Reconciliation
@@ -67,6 +68,30 @@ class TestVendorFanOutParity:
             synthetic_problem(config)
         )
         assert _signature(serial) == _signature(fanned)
+
+    def test_float32_engine_parity(self):
+        # The compact engine stores budgets and costs as float32; both
+        # paths must still build each vendor's MCKP from the entities'
+        # float64 budgets and costs, so every per-vendor solution (and
+        # its order) matches.
+        config = WorkloadConfig(
+            n_customers=300, n_vendors=30,
+            radius_range=ParameterRange(0.1, 0.2), seed=4,
+        )
+        problem_a = synthetic_problem(config, dtype="float32")
+        problem_b = synthetic_problem(config, dtype="float32")
+        assert problem_a.acquire_engine().utilities().dtype == np.float32
+        serial = Reconciliation(seed=4)
+        fanned = Reconciliation(seed=4, parallel=_POOL2)
+        per_vendor = fanned._parallel_vendor_solutions(problem_b)
+        assert per_vendor is not None, "the pool declined"
+        assert per_vendor == [
+            serial._solve_single_vendor(problem_a, vendor)
+            for vendor in problem_a.vendors
+        ]
+        assert _signature(serial.solve(problem_a)) == _signature(
+            fanned.solve(problem_b)
+        )
 
     @pytest.mark.parametrize("method", ["greedy-lp", "dp"])
     def test_parity_across_mckp_backends(self, method):

@@ -97,6 +97,7 @@ class TestServeParity:
     def test_replay_bitwise(self, shards):
         from repro.algorithms.calibration import calibrate_from_problem
         from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
+        from repro.resilience.clock import SimulatedClock
         from repro.serve import ReplayDriver, ServeConfig, build_schedule
         from repro.sharding import ShardPlan
 
@@ -117,6 +118,10 @@ class TestServeParity:
                 ServeConfig(max_batch=8, queue_depth=64),
                 shard_plan=plan,
                 moves=moves,
+                # A frozen cost clock charges every batch zero scoring
+                # time, so shedding depends on the schedule alone, not
+                # on how fast the host scores.
+                cost_clock=SimulatedClock(),
             )
             result = driver.run(schedule)
             return result.utility, [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -113,6 +113,11 @@ class TestWeightedPearson:
     def test_invariant_under_positive_affine_transform(
         self, a, w, scale, shift
     ):
+        # Near-constant vectors sit at VARIANCE_EPS, where a rescale can
+        # flip the "undefined correlation" cut-off and invariance is
+        # false: keep the variance well clear of it at the smallest
+        # scale (0.1, which multiplies the variance by 0.01).
+        assume(weighted_covariance(a, a, w) * 0.1**2 >= 1e-6)
         b = np.linspace(0, 1, 6)
         before = weighted_pearson(a, b, w)
         after = weighted_pearson(a * scale + shift, b, w)
