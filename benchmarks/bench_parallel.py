@@ -9,19 +9,16 @@ CPUs -- a single-core runner cannot physically show a fan-out win, and
 pretending otherwise would just make the benchmark flaky.  Identity is
 enforced unconditionally, everywhere.
 
-Alongside the RECON gate the benchmark records (identity-checked,
-speed informational) measurements of the other two fan-out layers:
-the sweep-point fan of the experiment harness and the chunked engine
-kernels.  Everything is emitted to ``BENCH_parallel.json`` at the repo
-root, stamped with the CPU count so the conditional gate is auditable
-from the artifact alone.
+Alongside the RECON gate the benchmark records an identity-checked,
+speed-informational measurement of the other fan-out layer: the
+sweep-point fan of the experiment harness.  Everything is emitted to
+``BENCH_parallel.json`` at the repo root, stamped with the CPU count
+so the conditional gate is auditable from the artifact alone.
 
 Run directly with ``pytest -q -s benchmarks/bench_parallel.py``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from benchmarks.harness import (
     StageTimer,
@@ -32,11 +29,8 @@ from benchmarks.harness import (
 from repro.algorithms.recon import Reconciliation
 from repro.datagen.config import ParameterRange, WorkloadConfig
 from repro.datagen.synthetic import synthetic_problem
-from repro.engine.engine import ComputeEngine
-from repro.engine.kernels import pair_bases as serial_pair_bases
 from repro.experiments.sweep import run_sweep
-from repro.parallel import ParallelConfig, available_cpus
-from repro.parallel.kernels import chunked_pair_bases
+from repro.parallel import available_cpus
 
 #: The acceptance workload, shared with ``bench_engine.py``.
 GATE_CONFIG = WorkloadConfig(
@@ -125,7 +119,7 @@ def _measure_sweep() -> dict:
     with timer.stage("parallel"):
         fanned = run_sweep(
             "bench", points, algorithms=algorithms, seed=7,
-            parallel=ParallelConfig(jobs=GATE_WORKERS),
+            jobs=GATE_WORKERS,
         )
 
     def keys(result):
@@ -145,41 +139,12 @@ def _measure_sweep() -> dict:
     }
 
 
-def _measure_kernels() -> dict:
-    """Chunked kernel scoring: informational timing, bitwise identity."""
-    engine = ComputeEngine.create(synthetic_problem(GATE_CONFIG))
-    model = engine._problem.utility_model
-    edges = engine.edges  # build outside the timed region
-
-    timer = StageTimer()
-    with timer.stage("serial"):
-        serial = serial_pair_bases(model, engine.arrays, edges)
-    with timer.stage("parallel"):
-        chunked = chunked_pair_bases(
-            model, engine.arrays, edges,
-            ParallelConfig(jobs=GATE_WORKERS, min_kernel_edges=1),
-        )
-
-    timings = timer.timings
-    return {
-        "n_edges": len(edges),
-        "workers": GATE_WORKERS,
-        "serial_seconds": timings["serial_seconds"],
-        "parallel_seconds": timings["parallel_seconds"],
-        "pool_declined": chunked is None,
-        "bitwise_identical": (
-            chunked is not None and bool(np.array_equal(serial, chunked))
-        ),
-    }
-
-
 def test_parallel_speedup_gate():
     cpu_count = available_cpus()
     gate_enforced = cpu_count >= MIN_GATE_CPUS
 
     recon = _measure_recon()
     sweep = _measure_sweep()
-    kernels = _measure_kernels()
 
     print()
     print(
@@ -195,12 +160,6 @@ def test_parallel_speedup_gate():
         f"[parallel] sweep  {sweep['serial_seconds']:8.3f}s -> "
         f"{sweep['parallel_seconds']:8.3f}s identical={sweep['identical']}"
     )
-    print(
-        f"[parallel] kernel {kernels['serial_seconds']:8.3f}s -> "
-        f"{kernels['parallel_seconds']:8.3f}s "
-        f"declined={kernels['pool_declined']} "
-        f"bitwise={kernels['bitwise_identical']}"
-    )
 
     write_bench_json(
         "parallel",
@@ -210,7 +169,6 @@ def test_parallel_speedup_gate():
             "gate_enforced": gate_enforced,
             "recon": recon,
             "sweep": sweep,
-            "kernels": kernels,
         },
     )
 
@@ -218,9 +176,6 @@ def test_parallel_speedup_gate():
     # layer must reproduce the serial results exactly, on any machine.
     assert recon["identical"], "parallel RECON diverged from serial"
     assert sweep["identical"], "parallel sweep rows diverged from serial"
-    assert kernels["pool_declined"] or kernels["bitwise_identical"], (
-        "chunked kernel bases diverged from the serial one-pass"
-    )
 
     if gate_enforced:
         assert recon["speedup"] >= SPEEDUP_GATE, (

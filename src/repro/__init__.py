@@ -51,7 +51,6 @@ from repro.datagen import (
     synthetic_problem,
 )
 from repro.experiments import run_panel, run_sweep
-from repro.parallel import ParallelConfig
 from repro.resilience import FaultPlan, ResilientBroker, SimulatedClock
 from repro.sharding import ShardPlan
 from repro.stream import OnlineSimulator

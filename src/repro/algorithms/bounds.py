@@ -25,41 +25,27 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.algorithms.recon import vendor_mckp
 from repro.core.problem import MUAAProblem
 from repro.lp.model import LinearProgram
-from repro.mckp.items import MCKPInstance, MCKPItem
 from repro.mckp.lp_relaxation import solve_lp_relaxation
-
-_EPS = 1e-9
 
 
 def vendor_lp_bound(problem: MUAAProblem) -> float:
     """Budget-respecting bound: capacity constraints relaxed.
 
     For each vendor, the exact LP optimum of its single-vendor MCKP
-    (over all its valid customers, each free to take one ad) is an
-    upper bound on what that vendor can contribute; their sum bounds
-    the whole instance because dropping the capacity coupling can only
-    increase the optimum.
+    (RECON's :func:`~repro.algorithms.recon.vendor_mckp`: all its valid
+    customers, each free to take one ad) is an upper bound on what
+    that vendor can contribute; their sum bounds the whole instance
+    because dropping the capacity coupling can only increase the
+    optimum.  A deactivated vendor contributes nothing.
     """
     total = 0.0
     for vendor in problem.vendors:
-        items: List[MCKPItem] = []
-        for customer_id in problem.valid_customer_ids(vendor):
-            for inst in problem.pair_instances(customer_id, vendor.vendor_id):
-                if inst.utility > 0 and inst.cost <= vendor.budget + _EPS:
-                    items.append(
-                        MCKPItem(
-                            class_id=customer_id,
-                            item_id=inst.type_id,
-                            cost=inst.cost,
-                            profit=inst.utility,
-                        )
-                    )
-        if not items:
-            continue
-        mckp = MCKPInstance.from_items(items, budget=vendor.budget)
-        total += solve_lp_relaxation(mckp).lp_value
+        mckp = vendor_mckp(problem, vendor)
+        if mckp is not None:
+            total += solve_lp_relaxation(mckp).lp_value
     return total
 
 

@@ -25,9 +25,8 @@ from repro.core.problem import MUAAProblem
 from repro.mckp.items import MCKPColumns, single_vendor_mckp
 from repro.mckp.solvers import solve as solve_mckp
 from repro.obs.recorder import recorder
-from repro.parallel import ParallelConfig, parallel_map, resolve
-from repro.parallel import recon_workers
-from repro.parallel.shm import HAVE_SHARED_MEMORY, ship_columns
+from repro.parallel import parallel_map, pool_workers, recon_workers
+from repro.parallel.shm import ship_columns
 
 _EPS = 1e-9
 
@@ -54,7 +53,6 @@ class Reconciliation(OfflineAlgorithm):
             the serial path; vendor batches are chunked across workers
             and merged in vendor order, so assignments are
             byte-identical to serial at any value.
-        parallel: Full fan-out configuration; overrides ``jobs``.
         shards: Solve through a spatial shard plan with this many
             shards: each shard's per-vendor MCKPs run against that
             shard's engine only (one ``ship_columns`` block per shard
@@ -80,7 +78,6 @@ class Reconciliation(OfflineAlgorithm):
         seed: Optional[int] = None,
         violation_order: str = "random",
         jobs: int = 1,
-        parallel: Optional[ParallelConfig] = None,
         shards: int = 1,
         shard_plan=None,
     ) -> None:
@@ -92,7 +89,7 @@ class Reconciliation(OfflineAlgorithm):
         self._mckp_method = mckp_method
         self._seed = seed
         self._violation_order = violation_order
-        self._parallel = resolve(parallel, jobs)
+        self._jobs = jobs
         self._shards = shards
         self._shard_plan = shard_plan
         #: Diagnostics of the last run (violations found, ads replaced).
@@ -144,7 +141,7 @@ class Reconciliation(OfflineAlgorithm):
     ) -> Optional[List[List[AdInstance]]]:
         """Fan the per-vendor solves across workers, or ``None``."""
         n_vendors = len(problem.vendors)
-        if not HAVE_SHARED_MEMORY or not self._parallel.active(n_vendors):
+        if pool_workers(self._jobs, n_vendors) < 2:
             return None
         engine = problem.acquire_engine()
         if engine is None:
@@ -173,8 +170,8 @@ class Reconciliation(OfflineAlgorithm):
         with ship_columns(columns) as shipment:
             chunked = parallel_map(
                 recon_workers.solve_vendor_span,
-                self._parallel.spans(n_vendors),
-                self._parallel,
+                vendor_spans(n_vendors, self._jobs),
+                self._jobs,
                 initializer=recon_workers.init_worker,
                 initargs=(shipment.handle, self._mckp_method),
             )
@@ -263,6 +260,19 @@ class Reconciliation(OfflineAlgorithm):
         )
         self.last_stats = stats
         return assignment
+
+
+def vendor_spans(n_vendors: int, jobs: int) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` vendor-row ranges, one per worker task.
+
+    Each worker gets about four spans (for load balancing) while the
+    span count stays proportional to the worker count.  Concatenating
+    per-span results in list order reproduces the full-range result.
+    """
+    size = max(1, -(-n_vendors // (pool_workers(jobs, n_vendors) * 4)))
+    return [
+        (lo, min(lo + size, n_vendors)) for lo in range(0, n_vendors, size)
+    ]
 
 
 def _type_costs(problem: MUAAProblem) -> np.ndarray:

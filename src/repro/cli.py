@@ -38,16 +38,6 @@ from typing import List, Optional
 from repro.experiments.report import full_report
 
 
-def _parallel_from_args(args: argparse.Namespace):
-    """The :class:`ParallelConfig` for ``--jobs``, or ``None`` (serial)."""
-    jobs = getattr(args, "jobs", 1)
-    if jobs == 1:
-        return None
-    from repro.parallel import ParallelConfig
-
-    return ParallelConfig(jobs=jobs)
-
-
 def _artifact_cache_from_args(args: argparse.Namespace):
     """The installed engine cache for ``--artifact DIR``, or a no-op."""
     directory = getattr(args, "artifact", None)
@@ -397,7 +387,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
               f"customers x {len(problem.vendors)} vendors{moved})")
     with _artifact_cache_from_args(args) as cache:
         results = run_panel(
-            problem, seed=args.seed, parallel=_parallel_from_args(args),
+            problem, seed=args.seed, jobs=args.jobs,
             shards=getattr(args, "shards", 1),
             moves=run.moves,
         )
@@ -423,7 +413,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     runner, default_scale = figure_by_number(args.number)
     scale = args.scale if args.scale is not None else default_scale
     result = runner(
-        scale=scale, seed=args.seed, parallel=_parallel_from_args(args),
+        scale=scale, seed=args.seed, jobs=args.jobs,
         shards=getattr(args, "shards", 1),
     )
     from repro.experiments.report import utility_chart
@@ -563,7 +553,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             figures=tuple(args.figures) if args.figures else ALL_FIGURES,
             output_dir=args.out,
             progress=print,
-            parallel=_parallel_from_args(args),
+            jobs=args.jobs,
             shards=getattr(args, "shards", 1),
         )
     _report_cache(cache)
@@ -850,16 +840,15 @@ def _cmd_build_artifact(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    import multiprocessing
     import platform
 
     import numpy
 
     import repro
     from repro.mckp.solvers import _BACKENDS, SOLVER_NAMES
+    from repro.parallel.pool import available_cpus, start_method
     from repro.parallel.shm import HAVE_SHARED_MEMORY
 
-    start_methods = multiprocessing.get_all_start_methods()
     backends = ", ".join(
         name for name in SOLVER_NAMES if callable(_BACKENDS.get(name))
     )
@@ -867,9 +856,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"python:         {platform.python_version()}")
     print(f"numpy:          {numpy.__version__}")
     print(f"platform:       {platform.platform()}")
-    print(f"cpu count:      {multiprocessing.cpu_count()}")
-    print(f"start methods:  {multiprocessing.get_start_method()} (default); "
-          f"available: {', '.join(start_methods)}")
+    print(f"cpu count:      {available_cpus()} (usable by --jobs)")
+    print(f"start method:   {start_method()} (worker pool)")
     print(f"shared memory:  {'yes' if HAVE_SHARED_MEMORY else 'no'}")
     print(f"mckp backends:  {backends}")
     print("lp backend:     in-tree simplex (repro.lp.model.LinearProgram)")
@@ -897,8 +885,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # Cluster card: what serve-cluster would run on this machine.
     from repro.cluster.episode import TRANSPORTS
 
-    fork_ok = "fork" in start_methods
-    default_transport = "process" if fork_ok else "inline"
+    default_transport = "process" if start_method() == "fork" else "inline"
     print()
     print("cluster card (repro serve-cluster):")
     print(f"  transports:     {', '.join(TRANSPORTS)} "

@@ -73,11 +73,6 @@ class MUAAProblem:
             evaluation when the utility model has a vectorized kernel.
             Disable to force the scalar reference path everywhere
             (parity tests, fault-injection wrappers, baselines).
-        parallel: Optional :class:`repro.parallel.ParallelConfig`.
-            When set (and ``jobs > 1``), the compute engine scores
-            large candidate-edge tables in chunked worker processes
-            over shared memory; results are bitwise identical to the
-            serial pass.  Serial (``None``) is the default.
         churn: Optional shared :class:`~repro.churn.ChurnState`.  Shard
             views pass their parent's state so a vendor deactivated
             anywhere is skipped by every view's candidate scans;
@@ -109,7 +104,6 @@ class MUAAProblem:
         ] = None,
         spatial_backend: str = "grid",
         use_engine: bool = True,
-        parallel=None,
         churn: Optional[ChurnState] = None,
         dtype=None,
         slot_map=None,
@@ -165,9 +159,6 @@ class MUAAProblem:
         self._engine = None
         self._engine_miss = None
         self._engine_unsupported = False
-        #: Fan-out configuration consulted by the compute engine for
-        #: chunked kernel scoring (``None`` means strictly serial).
-        self.parallel_config = parallel
         #: Churn bookkeeping (deactivated vendors, skip/epoch counters),
         #: shared with shard views of this problem.
         self.churn: ChurnState = churn if churn is not None else ChurnState()

@@ -202,33 +202,13 @@ class ComputeEngine:
 
     @property
     def pair_bases(self) -> np.ndarray:
-        """``(E,)`` Eq. 4 pair bases, aligned with :attr:`edges`.
-
-        With a :class:`~repro.parallel.ParallelConfig` on the problem
-        (``problem.parallel_config``) and a table above the config's
-        edge threshold, the table is scored in chunked worker processes
-        over shared memory; the chunks concatenate to bitwise the same
-        values as the serial one-pass kernel, which remains the
-        fallback whenever the pool declines.
-        """
+        """``(E,)`` Eq. 4 pair bases, aligned with :attr:`edges`."""
         if self._bases is None:
             edges = self.edges  # build outside the scoring span
             with recorder().span("engine.pair_bases", n_edges=len(edges)):
-                bases = None
-                config = getattr(self._problem, "parallel_config", None)
-                if config is not None:
-                    from repro.parallel.kernels import chunked_pair_bases
-
-                    bases = chunked_pair_bases(
-                        self._problem.utility_model,
-                        self._arrays,
-                        edges,
-                        config,
-                    )
-                if bases is None:
-                    bases = _kernel_pair_bases(
-                        self._problem.utility_model, self._arrays, edges
-                    )
+                bases = _kernel_pair_bases(
+                    self._problem.utility_model, self._arrays, edges
+                )
             if bases is None:  # pragma: no cover - guarded by create()
                 raise RuntimeError(
                     "engine created for a model without a vectorized kernel"

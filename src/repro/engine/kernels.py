@@ -43,9 +43,9 @@ def _row_weighted_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     be bitwise stable under row subsetting.  ``einsum`` (without
     ``optimize``, so it never dispatches to BLAS) reduces each row with
     the same fixed-order loop regardless of how many rows there are --
-    which is what lets the chunked multi-process kernels
-    (:mod:`repro.parallel.kernels`) concatenate to bitwise the same
-    bases as this serial pass, at near-gemv speed.
+    which is what lets a shard view's or a churn splice's smaller edge
+    table score bitwise the same bases as the full table, at near-gemv
+    speed.
     """
     return np.einsum("et,t->e", matrix, weights, optimize=False)
 

@@ -37,7 +37,6 @@ from repro.datagen.config import (
 from repro.datagen.synthetic import synthetic_problem
 from repro.experiments.runner import PANEL
 from repro.experiments.sweep import SweepResult, run_sweep
-from repro.parallel import ParallelConfig
 
 #: Paper-scale sizes for the real-like workload (Section V-A after the
 #: venue filter: 441,060 customers / 7,222 vendors).  ``scale=1.0``
@@ -111,7 +110,7 @@ def fig3_budget(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[ParameterRange] = BUDGET_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 3: effect of the vendor budget range :math:`[B^-, B^+]`."""
@@ -122,7 +121,7 @@ def fig3_budget(
     )
     return run_sweep(
         "fig3", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -131,7 +130,7 @@ def fig4_radius(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[ParameterRange] = RADIUS_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 4: effect of the vendor radius range :math:`[r^-, r^+]`."""
@@ -142,7 +141,7 @@ def fig4_radius(
     )
     return run_sweep(
         "fig4", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -151,7 +150,7 @@ def fig5_capacity(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[ParameterRange] = CAPACITY_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 5: effect of the customer capacity range :math:`[a^-, a^+]`.
@@ -185,7 +184,7 @@ def fig5_capacity(
     )
     return run_sweep(
         "fig5", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -194,7 +193,7 @@ def fig6_probability(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[ParameterRange] = PROBABILITY_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 6: effect of the view-probability range :math:`[p^-, p^+]`."""
@@ -205,7 +204,7 @@ def fig6_probability(
     )
     return run_sweep(
         "fig6", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -217,7 +216,7 @@ def fig7_customers(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[int] = CUSTOMER_COUNT_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 7: scalability in the number m of customers (synthetic)."""
@@ -234,7 +233,7 @@ def fig7_customers(
         points.append((str(m), factory))
     return run_sweep(
         "fig7", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -277,7 +276,7 @@ def fig8_vendors(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[int] = VENDOR_COUNT_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 8: scalability in the number n of vendors (synthetic)."""
@@ -296,5 +295,5 @@ def fig8_vendors(
         points.append((str(n), factory))
     return run_sweep(
         "fig8", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )

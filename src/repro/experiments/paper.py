@@ -21,7 +21,6 @@ from repro.experiments.measures import (
 )
 from repro.experiments.report import full_report
 from repro.experiments.sweep import SweepResult
-from repro.parallel import ParallelConfig
 
 #: The figure numbers of the paper's evaluation section (3-8) plus the
 #: scenario figures (9-11: multi-slot, trajectory, diurnal).
@@ -128,7 +127,7 @@ def reproduce_all(
     figures: Sequence[int] = ALL_FIGURES,
     output_dir: Optional[Union[str, Path]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> ReproductionReport:
     """Run the whole evaluation section and check its claims.
@@ -143,8 +142,8 @@ def reproduce_all(
             ``<dir>/fig<N>.txt``.
         progress: Optional callback receiving one status line per
             figure.
-        parallel: Fan sweep points across worker processes within each
-            figure (default: serial; results identical either way).
+        jobs: Worker processes for the sweep points within each
+            figure (default 1, serial; results identical either way).
         shards: Spatial shard count forwarded to every panel run
             (``1`` keeps every algorithm on its unsharded path).
     """
@@ -159,7 +158,7 @@ def reproduce_all(
         result = runner(
             scale=default_scale * scale_multiplier,
             seed=seed,
-            parallel=parallel,
+            jobs=jobs,
             shards=shards,
         )
         report.results[number] = result

@@ -19,7 +19,7 @@ from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.algorithms.random_baseline import RandomAssignment
 from repro.algorithms.recon import Reconciliation
 from repro.core.problem import MUAAProblem
-from repro.parallel import ParallelConfig, parallel_map
+from repro.parallel import parallel_map, pool_workers
 from repro.stream.simulator import OnlineAsOffline
 
 #: Panel names in the paper's presentation order.
@@ -155,7 +155,7 @@ def run_panel(
     seed: int = 42,
     calibration: Optional[GammaBounds] = None,
     mckp_method: str = "greedy-lp",
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
     shard_plan=None,
     moves=None,
@@ -170,7 +170,7 @@ def run_panel(
     table is exactly what sharded members avoid; each member warms its
     own shards instead.
 
-    With ``parallel`` active, panel members run in worker processes
+    With ``jobs > 1``, panel members run in worker processes
     against the (already warmed) problem -- inherited copy-on-write
     under ``fork``, so nothing heavy is re-evaluated per member.  Every
     stochastic member derives its randomness from ``seed`` alone and
@@ -186,17 +186,13 @@ def run_panel(
     sharded = shard_plan is not None or shards > 1
     if not sharded:
         problem.warm_utilities()
-    if (
-        shard_plan is None
-        and parallel is not None
-        and parallel.active(len(algorithms))
-    ):
+    if shard_plan is None and pool_workers(jobs, len(algorithms)) > 1:
         if calibration is None and "ONLINE" in algorithms:
             calibration = _safe_calibration(problem, seed)
         fanned = parallel_map(
             _run_panel_member,
             list(algorithms),
-            parallel,
+            jobs,
             initializer=_init_panel_worker,
             initargs=(
                 problem, seed, calibration, mckp_method, shards, moves

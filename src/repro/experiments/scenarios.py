@@ -19,14 +19,13 @@ exercise exactly what ``repro demo --scenario`` runs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.datagen.config import WorkloadConfig
 from repro.datagen.synthetic import synthetic_problem
 from repro.experiments.measures import Row
 from repro.experiments.runner import PANEL, run_panel
 from repro.experiments.sweep import SweepResult, run_sweep
-from repro.parallel import ParallelConfig
 from repro.scenario import (
     DiurnalScenario,
     SingleSlotStatic,
@@ -58,7 +57,7 @@ def fig9_slots(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[int] = SLOT_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 9: effect of the per-vendor slot count k (multi-slot).
@@ -82,7 +81,7 @@ def fig9_slots(
         points.append((f"k={k}", factory))
     return run_sweep(
         "fig9", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )
 
 
@@ -91,7 +90,7 @@ def fig10_trajectory(
     seed: int = 42,
     algorithms: Sequence[str] = STREAMING_PANEL,
     sweep: Sequence[float] = MOVE_FRACTION_SWEEP,
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 10: effect of trajectory moves on the streaming members.
@@ -117,7 +116,7 @@ def fig10_trajectory(
             problem,
             algorithms=algorithms,
             seed=seed,
-            parallel=parallel,
+            jobs=jobs,
             shards=shards,
             moves=moves,
         )
@@ -134,7 +133,7 @@ def fig11_diurnal(
     seed: int = 42,
     algorithms: Sequence[str] = PANEL,
     sweep: Sequence[str] = ("uniform", "diurnal"),
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Figure 11: uniform vs diurnal (α_x(φ)-driven) arrival timestamps.
@@ -157,5 +156,5 @@ def fig11_diurnal(
         points.append((label, factory))
     return run_sweep(
         "fig11", points, algorithms=algorithms, seed=seed,
-        parallel=parallel, shards=shards,
+        jobs=jobs, shards=shards,
     )

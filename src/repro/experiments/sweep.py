@@ -7,12 +7,12 @@ while setting others to their default values" (Section V-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.core.problem import MUAAProblem
 from repro.experiments.measures import Row
 from repro.experiments.runner import PANEL, run_panel
-from repro.parallel import ParallelConfig, parallel_map
+from repro.parallel import parallel_map
 
 #: A sweep point: (parameter label, problem factory).
 SweepPoint = Tuple[str, Callable[[], MUAAProblem]]
@@ -95,7 +95,7 @@ def run_sweep(
     algorithms: Sequence[str] = PANEL,
     seed: int = 42,
     mckp_method: str = "greedy-lp",
-    parallel: Optional[ParallelConfig] = None,
+    jobs: int = 1,
     shards: int = 1,
 ) -> SweepResult:
     """Run the algorithm panel at every sweep point.
@@ -104,7 +104,7 @@ def run_sweep(
     for large instances is released between points) and calibrated
     independently.
 
-    With ``parallel`` active, sweep points run across worker processes
+    With ``jobs > 1``, sweep points run across worker processes
     (each worker builds, solves and releases its own point); with a
     single point the fan-out drops down to the panel's algorithm level
     instead, so ``points x algorithms`` cells are always what spreads
@@ -119,27 +119,24 @@ def run_sweep(
         algorithms: Panel member names.
         seed: Seed shared across points for the stochastic members.
         mckp_method: MCKP backend for RECON.
-        parallel: Fan-out configuration (default: serial).
+        jobs: Worker processes (default 1, serial; ``<= 0`` means all
+            CPUs).
         shards: Spatial shard count forwarded to every panel run
             (``1`` keeps every algorithm on its unsharded path).
     """
     result = SweepResult(experiment=experiment)
-    if parallel is not None and parallel.active(len(points)):
-        fanned = parallel_map(
-            _run_sweep_point,
-            range(len(points)),
-            parallel,
-            initializer=_init_sweep_worker,
-            initargs=(experiment, points, algorithms, seed, mckp_method,
-                      shards),
-        )
-        if fanned is not None:
-            for rows in fanned:
-                result.rows.extend(rows)
-            return result
-    point_parallel = (
-        parallel if parallel is not None and len(points) == 1 else None
+    fanned = parallel_map(
+        _run_sweep_point,
+        range(len(points)),
+        jobs,
+        initializer=_init_sweep_worker,
+        initargs=(experiment, points, algorithms, seed, mckp_method, shards),
     )
+    if fanned is not None:
+        for rows in fanned:
+            result.rows.extend(rows)
+        return result
+    point_jobs = jobs if len(points) == 1 else 1
     for label, factory in points:
         problem = factory()
         panel_results = run_panel(
@@ -147,7 +144,7 @@ def run_sweep(
             algorithms=algorithms,
             seed=seed,
             mckp_method=mckp_method,
-            parallel=point_parallel,
+            jobs=point_jobs,
             shards=shards,
         )
         for name in algorithms:

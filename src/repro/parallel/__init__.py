@@ -1,36 +1,27 @@
-"""Shared-memory process fan-out for RECON, sweeps, and engine kernels.
+"""Shared-memory process fan-out for RECON and the experiment sweeps.
 
-The layer has three pieces:
+The layer has two pieces, driven by one ``jobs: int``:
 
-* :mod:`repro.parallel.config` -- :class:`ParallelConfig`, the one knob
-  threaded through every consumer, plus spawn-safe seed derivation;
-* :mod:`repro.parallel.shm` -- zero-copy column shipping over
-  ``multiprocessing.shared_memory`` (ship once, attach per worker);
 * :mod:`repro.parallel.pool` -- :func:`parallel_map`, an ordered
   process-pool map that returns ``None`` whenever the serial path
-  should run instead (too few tasks, ``jobs=1``, missing platform
-  support, worker crash).
+  should run instead (too few tasks, one usable worker, missing
+  platform support, worker crash), and :func:`pool_workers`, the
+  worker count it resolves ``jobs`` to;
+* :mod:`repro.parallel.shm` -- zero-copy column shipping over
+  ``multiprocessing.shared_memory`` (ship once, attach per worker).
 
-Consumers: ``Reconciliation(jobs=...)`` fans its per-vendor MCKP solves,
-``run_sweep(parallel=...)`` / ``run_panel(parallel=...)`` fan sweep
-points and panel algorithms, and the compute engine chunks large
-candidate tables (:func:`repro.parallel.kernels.chunked_pair_bases`).
+Consumers: ``Reconciliation(jobs=...)`` fans its per-vendor MCKP solves
+(:mod:`repro.parallel.recon_workers`), and ``run_sweep(jobs=...)`` /
+``run_panel(jobs=...)`` fan sweep points and panel algorithms.
 Determinism is guaranteed everywhere: parallel and serial runs produce
 identical assignments and rows.  See ``docs/parallel.md``.
 """
 
-from repro.parallel.config import (
-    SERIAL,
-    ParallelConfig,
-    available_cpus,
-    resolve,
-    seed_for,
-)
 from repro.parallel.pool import (
-    WorkerCrashError,
+    available_cpus,
     parallel_map,
-    pool_available,
-    serial_map,
+    pool_workers,
+    start_method,
 )
 from repro.parallel.shm import (
     HAVE_SHARED_MEMORY,
@@ -42,15 +33,10 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "SERIAL",
-    "ParallelConfig",
     "available_cpus",
-    "resolve",
-    "seed_for",
-    "WorkerCrashError",
     "parallel_map",
-    "pool_available",
-    "serial_map",
+    "pool_workers",
+    "start_method",
     "HAVE_SHARED_MEMORY",
     "AttachedColumns",
     "ColumnHandle",

@@ -1,12 +1,12 @@
 """The process fan-out primitive: ordered map with graceful fallback.
 
-:func:`parallel_map` is the one entry point every consumer uses.  It
-returns the task results **in task order** (so merges are
-deterministic), or ``None`` whenever a pool is not worth having or not
-available -- too few tasks, ``jobs=1``, no shared memory, unpicklable
-state, or a worker crash with ``fallback_serial`` set.  ``None`` is the
-signal to run the serial reference path; consumers never need to know
-*why* the pool declined.
+:func:`parallel_map` is the one entry point every consumer uses, and
+``jobs`` is its one setting.  It returns the task results **in task
+order** (so merges are deterministic), or ``None`` whenever a pool is
+not worth having or not available -- too few tasks, one usable worker,
+no shared memory, unpicklable state, or a worker crash.  ``None`` is
+the signal to run the serial reference path; consumers never need to
+know *why* the pool declined.
 
 Worker functions must be module-level (they are pickled by reference),
 and heavy state travels either through the pool initializer (inherited
@@ -30,16 +30,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.recorder import Recorder, recorder, set_recorder
-from repro.parallel.config import ParallelConfig
 from repro.parallel.shm import HAVE_SHARED_MEMORY
 
-
-class WorkerCrashError(RuntimeError):
-    """A worker died and the config forbids serial fallback."""
-
+#: Ceiling applied when ``jobs <= 0`` requests "all cores".
+_MAX_AUTO_JOBS = 32
 
 #: Pool-infrastructure failures that trigger the serial fallback.  Task
 #: *logic* exceptions are deliberately not in this set -- they re-raise,
@@ -53,15 +50,33 @@ _POOL_FAILURES = (
 )
 
 
-def _context(config: ParallelConfig):
-    """The multiprocessing context for ``config`` (prefers fork)."""
+def available_cpus() -> int:
+    """CPUs usable by this process (affinity-aware when possible)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def pool_workers(jobs: int, n_tasks: int) -> int:
+    """Worker processes :func:`parallel_map` starts for ``n_tasks`` tasks.
+
+    ``jobs <= 0`` means all available CPUs (capped at 32); a positive
+    ``jobs`` is clamped to the available CPUs, since more workers than
+    cores can only lose on CPU-bound solves.  ``1`` means no pool: one
+    worker, fewer than two tasks, or no shared memory on the platform.
+    """
+    cpus = available_cpus()
+    workers = min(cpus, _MAX_AUTO_JOBS) if jobs <= 0 else min(jobs, cpus)
+    if not HAVE_SHARED_MEMORY or workers < 2 or n_tasks < 2:
+        return 1
+    return min(workers, n_tasks)
+
+
+def start_method() -> str:
+    """The start method the pool uses: ``fork`` where available."""
     methods = multiprocessing.get_all_start_methods()
-    method = config.start_method
-    if method is None:
-        method = "fork" if "fork" in methods else methods[0]
-    elif method not in methods:
-        return None
-    return multiprocessing.get_context(method)
+    return "fork" if "fork" in methods else methods[0]
 
 
 def _obs_init(initializer: Optional[Callable], initargs: Tuple) -> None:
@@ -86,19 +101,10 @@ def _obs_task(fn: Callable, task):
     return result, snapshot
 
 
-def pool_available(config: ParallelConfig, n_tasks: int) -> bool:
-    """Whether :func:`parallel_map` would even try a pool."""
-    return (
-        HAVE_SHARED_MEMORY
-        and config.active(n_tasks)
-        and _context(config) is not None
-    )
-
-
 def parallel_map(
     fn: Callable,
     tasks: Sequence,
-    config: ParallelConfig,
+    jobs: int,
     initializer: Optional[Callable] = None,
     initargs: Tuple = (),
 ) -> Optional[List]:
@@ -108,7 +114,7 @@ def parallel_map(
         fn: Module-level worker function of one task.
         tasks: The task values (must be picklable; keep them tiny --
             indices and ranges -- and ship bulk data via shm/initargs).
-        config: The fan-out configuration.
+        jobs: Requested worker count, resolved by :func:`pool_workers`.
         initializer: Per-worker setup (attach shared memory, stash
             state in module globals).
         initargs: Arguments for ``initializer``.  Under ``fork`` these
@@ -117,18 +123,13 @@ def parallel_map(
 
     Returns:
         The ordered result list, or ``None`` when the caller should run
-        its serial path instead (pool inactive, platform unsupported,
-        or pool infrastructure failed with ``fallback_serial=True``).
-
-    Raises:
-        WorkerCrashError: Infrastructure failure with
-            ``fallback_serial=False``.
+        its serial path instead (no pool worth starting, or the pool
+        infrastructure failed).
     """
     tasks = list(tasks)
-    if not pool_available(config, len(tasks)):
+    workers = pool_workers(jobs, len(tasks))
+    if workers < 2:
         return None
-    ctx = _context(config)
-    jobs = min(config.resolved_jobs(), len(tasks))
     rec = recorder()
     if rec.enabled:
         # Route tasks through the observability wrapper: workers get
@@ -142,8 +143,8 @@ def parallel_map(
         pool_initargs = initargs
     try:
         with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(start_method()),
             initializer=pool_initializer,
             initargs=pool_initargs,
         ) as executor:
@@ -151,26 +152,16 @@ def parallel_map(
                 executor.map(
                     mapped_fn,
                     tasks,
-                    chunksize=config.task_chunksize(len(tasks)),
+                    chunksize=max(1, -(-len(tasks) // (workers * 4))),
                 )
             )
-        if not rec.enabled:
-            return mapped
-        results = []
-        for result, snapshot in mapped:
-            if snapshot is not None:
-                rec.merge(snapshot)
-            results.append(result)
-        return results
-    except _POOL_FAILURES as exc:
-        if config.fallback_serial:
-            return None
-        raise WorkerCrashError(
-            f"worker pool failed ({type(exc).__name__}: {exc}) and "
-            f"fallback_serial is disabled"
-        ) from exc
-
-
-def serial_map(fn: Callable, tasks: Iterable) -> List:
-    """The serial twin of :func:`parallel_map` (always succeeds)."""
-    return [fn(task) for task in tasks]
+    except _POOL_FAILURES:
+        return None
+    if not rec.enabled:
+        return mapped
+    results = []
+    for result, snapshot in mapped:
+        if snapshot is not None:
+            rec.merge(snapshot)
+        results.append(result)
+    return results

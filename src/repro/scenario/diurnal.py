@@ -104,7 +104,6 @@ def resample_arrival_times(
         pair_validator=problem.pair_validator,
         spatial_backend=problem.spatial_backend,
         use_engine=problem._use_engine,
-        parallel=problem.parallel_config,
         dtype=problem.dtype_policy,
         slot_map=problem.slot_map,
     )

@@ -366,7 +366,7 @@ class ShardPlan:
         """The (cached) per-shard problem view.
 
         Shard views share the full problem's ad catalogue, utility
-        model, pair validator, backend and parallel configuration, and
+        model, pair validator, backend and dtype policy, and
         keep global entity ids; the identity plan returns the original
         problem object itself.
         """
@@ -389,7 +389,6 @@ class ShardPlan:
                 pair_validator=problem.pair_validator,
                 spatial_backend=problem.spatial_backend,
                 use_engine=problem._use_engine,
-                parallel=problem.parallel_config,
                 churn=problem.churn,
                 dtype=problem.dtype_policy,
             )

@@ -12,7 +12,11 @@ from repro.algorithms.bounds import (
 )
 from repro.algorithms.greedy import GreedyEfficiency
 from repro.algorithms.optimal import ExactOptimal
+from repro.algorithms.recon import vendor_mckp
+from repro.datagen.config import WorkloadConfig
+from repro.datagen.synthetic import synthetic_problem
 from repro.datagen.tabular import random_tabular_problem
+from repro.mckp.lp_relaxation import solve_lp_relaxation
 from tests.conftest import paper_example_problem
 
 
@@ -79,3 +83,29 @@ def test_gap_reporting_use_case():
     greedy = GreedyEfficiency().solve(problem).total_utility
     bound = combined_bound(problem)
     assert 0 < greedy / bound <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_tabular_problem(seed=2, n_customers=10, n_vendors=5),
+        lambda: synthetic_problem(
+            WorkloadConfig(n_customers=200, n_vendors=20, seed=4)
+        ),
+    ],
+    ids=["scalar", "engine"],
+)
+def test_deactivated_vendor_contributes_nothing(build):
+    """As in RECON, a deactivated vendor's single-vendor LP is empty."""
+    problem = build()
+    shares = {
+        vendor.vendor_id: solve_lp_relaxation(mckp).lp_value
+        for vendor in problem.vendors
+        if (mckp := vendor_mckp(problem, vendor)) is not None
+    }
+    victim = max(shares, key=shares.get)
+    assert shares[victim] > 0
+    before = vendor_lp_bound(problem)
+    assert problem.deactivate_vendors([victim]) == 1
+    after = vendor_lp_bound(problem)
+    assert after == pytest.approx(before - shares[victim], rel=1e-12)

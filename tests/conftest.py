@@ -116,3 +116,23 @@ from repro.datagen.tabular import random_tabular_problem  # noqa: E402,F401
 def small_problem() -> MUAAProblem:
     """A deterministic small random instance."""
     return random_tabular_problem(seed=1)
+
+
+# ----------------------------------------------------------------------
+# Worker-pool sizing
+# ----------------------------------------------------------------------
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """Pin the usable CPU count the worker pool resolves ``jobs`` against.
+
+    Pool tests call ``pin_cpus(n)`` to get ``n`` real worker processes
+    on any box (oversubscribing small CI runners on purpose), or
+    ``pin_cpus(1)`` to force the serial decline.
+    """
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(
+            "repro.parallel.pool.available_cpus", lambda: count
+        )
+
+    return pin

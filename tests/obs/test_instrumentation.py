@@ -17,7 +17,7 @@ from repro.algorithms.recon import Reconciliation
 from repro.datagen.config import ParameterRange, WorkloadConfig
 from repro.datagen.synthetic import synthetic_problem
 from repro.obs.recorder import observed, recorder
-from repro.parallel import HAVE_SHARED_MEMORY, ParallelConfig
+from repro.parallel import HAVE_SHARED_MEMORY
 from repro.stream.simulator import OnlineSimulator
 
 needs_shm = pytest.mark.skipif(
@@ -25,9 +25,12 @@ needs_shm = pytest.mark.skipif(
     reason="platform lacks multiprocessing.shared_memory",
 )
 
-# Worker-lane tests need a real pool even on 1-CPU CI boxes; opting
-# out of the CPU clamp oversubscribes deliberately.
-_POOL4 = ParallelConfig(jobs=4, clamp_jobs=False)
+
+@pytest.fixture
+def four_cpus(pin_cpus):
+    # Worker-lane tests need a real pool even on 1-CPU CI boxes; pinning
+    # four usable CPUs oversubscribes deliberately.
+    pin_cpus(4)
 
 
 def _signature(assignment):
@@ -58,10 +61,11 @@ class TestDeterminismParity:
         assert recorded.total_utility == baseline.total_utility
 
     @needs_shm
+    @pytest.mark.usefixtures("four_cpus")
     def test_recon_parallel_identical_with_recorder(self):
         baseline = Reconciliation(seed=3).solve(_problem())
         with observed():
-            recorded = Reconciliation(seed=3, parallel=_POOL4).solve(_problem())
+            recorded = Reconciliation(seed=3, jobs=4).solve(_problem())
         assert _signature(recorded) == _signature(baseline)
 
     def test_greedy_identical_with_recorder(self):
@@ -97,9 +101,10 @@ class TestRecordedContent:
         assert "recon.replacement_ads" in counters
 
     @needs_shm
+    @pytest.mark.usefixtures("four_cpus")
     def test_parallel_recon_merges_worker_lanes(self):
         with observed() as rec:
-            Reconciliation(seed=3, parallel=_POOL4).solve(_problem())
+            Reconciliation(seed=3, jobs=4).solve(_problem())
         lanes = {s.lane for s in rec.all_spans}
         worker_lanes = {lane for lane in lanes if lane.startswith("worker-")}
         assert "main" in lanes
@@ -113,11 +118,12 @@ class TestRecordedContent:
         assert {s.lane for s in vendor_spans} <= worker_lanes
 
     @needs_shm
+    @pytest.mark.usefixtures("four_cpus")
     def test_parallel_trace_export_has_worker_threads(self, tmp_path):
         from repro.obs.summary import spans_from_chrome_trace
 
         with observed() as rec:
-            Reconciliation(seed=3, parallel=_POOL4).solve(_problem())
+            Reconciliation(seed=3, jobs=4).solve(_problem())
         path = rec.write_trace(tmp_path / "trace.json")
         lanes = {s.lane for s in spans_from_chrome_trace(path)}
         assert "main" in lanes

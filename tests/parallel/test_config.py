@@ -1,116 +1,73 @@
-"""Unit tests for :mod:`repro.parallel.config`."""
+"""Unit tests for the fan-out sizing: worker count and RECON spans."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel import ParallelConfig, SERIAL, available_cpus, seed_for
-from repro.parallel.config import resolve
+from repro.algorithms.recon import vendor_spans
+from repro.parallel import available_cpus, pool_workers
 
 
 class TestResolvedJobs:
     def test_default_is_serial(self):
-        assert ParallelConfig().resolved_jobs() == 1
+        assert pool_workers(1, 1_000) == 1
 
     def test_explicit_jobs_clamped_to_cpus(self):
-        resolved = ParallelConfig(jobs=4).resolved_jobs()
-        assert resolved == min(4, available_cpus())
+        resolved = pool_workers(4, 1_000)
+        assert resolved == max(1, min(4, available_cpus()))
 
-    def test_clamp_pins_to_cpu_count(self, monkeypatch):
+    def test_clamp_pins_to_cpu_count(self, pin_cpus):
         # Regression: jobs=4 on a 1-CPU box measured a 0.85x RECON
         # *slowdown* -- oversubscribed workers must resolve serial.
-        monkeypatch.setattr(
-            "repro.parallel.config.available_cpus", lambda: 1
-        )
-        assert ParallelConfig(jobs=4).resolved_jobs() == 1
-        monkeypatch.setattr(
-            "repro.parallel.config.available_cpus", lambda: 2
-        )
-        assert ParallelConfig(jobs=4).resolved_jobs() == 2
-        assert ParallelConfig(jobs=2).resolved_jobs() == 2
-
-    def test_clamp_opt_out(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.config.available_cpus", lambda: 1
-        )
-        config = ParallelConfig(jobs=4, clamp_jobs=False)
-        assert config.resolved_jobs() == 4
+        pin_cpus(1)
+        assert pool_workers(4, 1_000) == 1
+        pin_cpus(2)
+        assert pool_workers(4, 1_000) == 2
+        assert pool_workers(2, 1_000) == 2
 
     @pytest.mark.parametrize("jobs", [0, -1])
-    def test_all_cores(self, jobs):
-        resolved = ParallelConfig(jobs=jobs).resolved_jobs()
-        assert 1 <= resolved <= 32
-        assert resolved == min(available_cpus(), 32)
+    def test_all_cores(self, jobs, pin_cpus):
+        pin_cpus(64)
+        assert pool_workers(jobs, 1_000) == 32
+        pin_cpus(3)
+        assert pool_workers(jobs, 1_000) == 3
 
 
 class TestActive:
     def test_serial_never_active(self):
-        assert not SERIAL.active(1_000_000)
+        assert pool_workers(1, 1_000_000) == 1
 
-    def test_too_few_tasks(self):
-        assert not ParallelConfig(jobs=4, clamp_jobs=False).active(1)
+    def test_too_few_tasks(self, pin_cpus):
+        pin_cpus(4)
+        assert pool_workers(4, 1) == 1
 
-    def test_active(self):
-        assert ParallelConfig(jobs=4, clamp_jobs=False).active(2)
+    def test_active(self, pin_cpus):
+        pin_cpus(4)
+        assert pool_workers(4, 2) == 2
+        assert pool_workers(4, 100) == 4
 
-    def test_clamped_to_one_cpu_never_active(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.config.available_cpus", lambda: 1
-        )
-        assert not ParallelConfig(jobs=4).active(1_000)
-
-    def test_min_tasks_respected(self):
-        config = ParallelConfig(jobs=4, clamp_jobs=False, min_tasks=10)
-        assert not config.active(9)
-        assert config.active(10)
+    def test_clamped_to_one_cpu_never_active(self, pin_cpus):
+        pin_cpus(1)
+        assert pool_workers(4, 1_000) == 1
 
 
 class TestSpans:
     @pytest.mark.parametrize("n_items", [0, 1, 7, 100, 1001])
     @pytest.mark.parametrize("jobs", [2, 3, 8])
-    def test_spans_cover_exactly_once(self, n_items, jobs):
-        spans = ParallelConfig(jobs=jobs, clamp_jobs=False).spans(n_items)
+    def test_spans_cover_exactly_once(self, n_items, jobs, pin_cpus):
+        pin_cpus(jobs)
+        spans = vendor_spans(n_items, jobs)
         covered = [i for lo, hi in spans for i in range(lo, hi)]
         assert covered == list(range(n_items))
 
-    def test_chunk_size_override(self):
-        spans = ParallelConfig(jobs=2, chunk_size=3).spans(10)
-        assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
     def test_empty(self):
-        assert ParallelConfig(jobs=4).spans(0) == []
+        assert vendor_spans(0, 4) == []
 
-    def test_spans_are_contiguous_and_ordered(self):
-        spans = ParallelConfig(jobs=4, clamp_jobs=False).spans(1234)
+    def test_spans_are_contiguous_and_ordered(self, pin_cpus):
+        pin_cpus(4)
+        spans = vendor_spans(1234, 4)
+        assert len(spans) == 16  # four spans per worker
         assert spans[0][0] == 0
         assert spans[-1][1] == 1234
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi == lo
-
-
-class TestSeedFor:
-    def test_pure_function_of_inputs(self):
-        assert seed_for(42, 3) == seed_for(42, 3)
-
-    def test_varies_with_index(self):
-        seeds = {seed_for(42, i) for i in range(100)}
-        assert len(seeds) == 100
-
-    def test_varies_with_base(self):
-        assert seed_for(1, 0) != seed_for(2, 0)
-
-    def test_none_base_is_deterministic(self):
-        assert seed_for(None, 5) == seed_for(None, 5)
-
-
-class TestResolve:
-    def test_default_is_serial_singleton(self):
-        assert resolve() is SERIAL
-        assert resolve(None, 1) is SERIAL
-
-    def test_jobs_builds_config(self):
-        assert resolve(jobs=4) == ParallelConfig(jobs=4)
-
-    def test_parallel_wins(self):
-        config = ParallelConfig(jobs=2, chunk_size=5)
-        assert resolve(config, jobs=8) is config

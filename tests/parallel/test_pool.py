@@ -8,25 +8,12 @@ import signal
 
 import pytest
 
-from repro.parallel import (
-    HAVE_SHARED_MEMORY,
-    ParallelConfig,
-    WorkerCrashError,
-    parallel_map,
-    pool_available,
-    serial_map,
-)
+from repro.parallel import HAVE_SHARED_MEMORY, parallel_map, pool
 
 needs_shm = pytest.mark.skipif(
     not HAVE_SHARED_MEMORY,
     reason="platform lacks multiprocessing.shared_memory",
 )
-
-# Pool tests deliberately oversubscribe tiny CI boxes to exercise real
-# worker processes; ``clamp_jobs=False`` bypasses the CPU clamp.
-def _pool(jobs: int = 2, **kwargs) -> ParallelConfig:
-    return ParallelConfig(jobs=jobs, clamp_jobs=False, **kwargs)
-
 
 # Worker functions must live at module level (pickled by reference).
 def _square(x: int) -> int:
@@ -54,67 +41,60 @@ def _fail_logically(x: int) -> int:
 
 class TestDeclines:
     def test_jobs_1_declines(self):
-        assert parallel_map(_square, range(10), ParallelConfig()) is None
+        assert parallel_map(_square, range(10), 1) is None
 
-    def test_too_few_tasks_declines(self):
-        assert parallel_map(_square, [3], _pool(jobs=4)) is None
+    def test_too_few_tasks_declines(self, pin_cpus):
+        pin_cpus(4)
+        assert parallel_map(_square, [3], 4) is None
 
-    def test_clamped_jobs_decline(self, monkeypatch):
-        # jobs=4 with the (default) clamp on a 1-CPU box resolves to a
-        # single worker, and a one-worker pool is never worth starting.
-        monkeypatch.setattr(
-            "repro.parallel.config.available_cpus", lambda: 1
-        )
-        config = ParallelConfig(jobs=4)
-        assert not pool_available(config, 100)
-        assert parallel_map(_square, range(100), config) is None
+    def test_clamped_jobs_decline(self, pin_cpus):
+        # jobs=4 on a 1-CPU box resolves to a single worker, and a
+        # one-worker pool is never worth starting.
+        pin_cpus(1)
+        assert parallel_map(_square, range(100), 4) is None
 
-    def test_unknown_start_method_declines(self):
-        config = _pool(start_method="not-a-method")
-        assert not pool_available(config, 10)
-        assert parallel_map(_square, range(10), config) is None
+    def test_pool_startup_failure_declines(self, pin_cpus, monkeypatch):
+        # A pool that cannot start (fork/shm resource exhaustion) is an
+        # infrastructure failure: the caller runs serial.
+        def no_processes(*args, **kwargs):
+            raise OSError("cannot start worker processes")
 
-    def test_serial_map_twin(self):
-        assert serial_map(_square, range(5)) == [0, 1, 4, 9, 16]
+        pin_cpus(2)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_processes)
+        assert parallel_map(_square, range(10), 2) is None
 
 
+# Pool tests deliberately oversubscribe tiny CI boxes: two pinned CPUs
+# give two real worker processes on any machine.
 @needs_shm
+@pytest.mark.usefixtures("two_cpus")
 class TestPool:
+    @pytest.fixture
+    def two_cpus(self, pin_cpus):
+        pin_cpus(2)
+
     def test_results_in_task_order(self):
-        result = parallel_map(_square, range(20), _pool())
+        result = parallel_map(_square, range(20), 2)
         assert result == [x * x for x in range(20)]
 
     def test_worker_crash_falls_back_to_none(self):
-        config = _pool(fallback_serial=True)
-        assert parallel_map(_crash, range(4), config) is None
-
-    def test_worker_crash_raises_without_fallback(self):
-        config = _pool(fallback_serial=False)
-        with pytest.raises(WorkerCrashError):
-            parallel_map(_crash, range(4), config)
+        assert parallel_map(_crash, range(4), 2) is None
 
     def test_sigkilled_worker_falls_back_to_none(self):
         # A child killed by SIGKILL (no Python exception, no exit
         # handler) must surface as a BrokenProcessPool and trigger the
         # serial fallback -- not hang the parent on a dead pipe.
-        config = _pool(fallback_serial=True)
-        assert parallel_map(_sigkill_on_victim, range(8), config) is None
-
-    def test_sigkilled_worker_raises_without_fallback(self):
-        config = _pool(fallback_serial=False)
-        with pytest.raises(WorkerCrashError):
-            parallel_map(_sigkill_on_victim, range(8), config)
+        assert parallel_map(_sigkill_on_victim, range(8), 2) is None
 
     def test_task_logic_error_reraises(self):
         # A task exception is not a pool failure: the serial path would
         # fail identically, so it must surface, not trigger fallback.
-        config = _pool(fallback_serial=True)
         with pytest.raises(ValueError, match="is bad"):
-            parallel_map(_fail_logically, range(4), config)
+            parallel_map(_fail_logically, range(4), 2)
 
     def test_initializer_runs_per_worker(self):
         result = parallel_map(
-            _read_init_state, range(6), _pool(),
+            _read_init_state, range(6), 2,
             initializer=_set_init_state, initargs=(7,),
         )
         assert result == [7] * 6

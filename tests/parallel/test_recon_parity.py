@@ -15,7 +15,7 @@ from repro.algorithms.recon import Reconciliation
 from repro.core.validation import validate_assignment
 from repro.datagen.config import ParameterRange, WorkloadConfig
 from repro.datagen.synthetic import synthetic_problem
-from repro.parallel import HAVE_SHARED_MEMORY, ParallelConfig
+from repro.parallel import HAVE_SHARED_MEMORY
 from tests.conftest import random_tabular_problem
 
 needs_shm = pytest.mark.skipif(
@@ -23,10 +23,12 @@ needs_shm = pytest.mark.skipif(
     reason="platform lacks multiprocessing.shared_memory",
 )
 
-# Parity tests must exercise *real* pools even on 1-CPU CI boxes, so
-# they opt out of the CPU clamp (deliberate oversubscription).
-_POOL2 = ParallelConfig(jobs=2, clamp_jobs=False)
-_POOL3 = ParallelConfig(jobs=3, clamp_jobs=False)
+@pytest.fixture(autouse=True)
+def _four_cpus(pin_cpus):
+    # Parity tests must exercise *real* pools even on 1-CPU CI boxes, so
+    # they pin four usable CPUs (deliberate oversubscription): ``jobs``
+    # 2 and 3 then start 2 and 3 workers.
+    pin_cpus(4)
 
 
 def _signature(assignment):
@@ -53,7 +55,7 @@ class TestVendorFanOutParity:
         problem_b = _crowded_problem(seed)
         serial = Reconciliation(seed=seed).solve(problem_a)
         fanned = Reconciliation(
-            seed=seed, parallel=_POOL2
+            seed=seed, jobs=2
         ).solve(problem_b)
         assert _signature(serial) == _signature(fanned)
         assert serial.total_utility == fanned.total_utility
@@ -64,7 +66,7 @@ class TestVendorFanOutParity:
             radius_range=ParameterRange(0.1, 0.2), seed=3,
         )
         serial = Reconciliation(seed=1).solve(synthetic_problem(config))
-        fanned = Reconciliation(seed=1, parallel=_POOL3).solve(
+        fanned = Reconciliation(seed=1, jobs=3).solve(
             synthetic_problem(config)
         )
         assert _signature(serial) == _signature(fanned)
@@ -82,7 +84,7 @@ class TestVendorFanOutParity:
         problem_b = synthetic_problem(config, dtype="float32")
         assert problem_a.acquire_engine().utilities().dtype == np.float32
         serial = Reconciliation(seed=4)
-        fanned = Reconciliation(seed=4, parallel=_POOL2)
+        fanned = Reconciliation(seed=4, jobs=2)
         per_vendor = fanned._parallel_vendor_solutions(problem_b)
         assert per_vendor is not None, "the pool declined"
         assert per_vendor == [
@@ -99,7 +101,7 @@ class TestVendorFanOutParity:
         problem_b = _crowded_problem(2)
         serial = Reconciliation(mckp_method=method, seed=2).solve(problem_a)
         fanned = Reconciliation(
-            mckp_method=method, seed=2, parallel=_POOL2
+            mckp_method=method, seed=2, jobs=2
         ).solve(
             problem_b
         )
@@ -107,7 +109,7 @@ class TestVendorFanOutParity:
 
     def test_parallel_output_feasible(self):
         problem = _crowded_problem(4)
-        assignment = Reconciliation(seed=4, parallel=_POOL2).solve(problem)
+        assignment = Reconciliation(seed=4, jobs=2).solve(problem)
         assert validate_assignment(problem, assignment).ok
 
 
@@ -124,7 +126,7 @@ class TestReconciliationOrderRegression:
                 seed=seed, violation_order="random"
             ).solve(_crowded_problem(11))
             fanned = Reconciliation(
-                seed=seed, violation_order="random", parallel=_POOL3,
+                seed=seed, violation_order="random", jobs=3,
             ).solve(_crowded_problem(11))
             assert _signature(serial) == _signature(fanned)
 
@@ -154,14 +156,16 @@ class TestFallbacks:
         explicit = Reconciliation(seed=3, jobs=1).solve(problem_b)
         assert _signature(default) == _signature(explicit)
 
-    def test_pool_decline_falls_back_serially(self):
-        # An impossible start method makes the pool unavailable; RECON
-        # must degrade to the serial loop with identical output.
-        config = ParallelConfig(jobs=2, start_method="not-a-method")
+    def test_pool_decline_falls_back_serially(self, pin_cpus):
+        # One usable CPU makes the pool decline; RECON must degrade to
+        # the serial loop with identical output.
+        pin_cpus(1)
         problem_a = _crowded_problem(6)
         problem_b = _crowded_problem(6)
         serial = Reconciliation(seed=6).solve(problem_a)
-        declined = Reconciliation(seed=6, parallel=config).solve(problem_b)
+        fanned = Reconciliation(seed=6, jobs=2)
+        assert fanned._parallel_vendor_solutions(problem_a) is None
+        declined = fanned.solve(problem_b)
         assert _signature(serial) == _signature(declined)
 
     @needs_shm
@@ -177,5 +181,5 @@ class TestFallbacks:
         problem_a = _crowded_problem(8)
         problem_b = _crowded_problem(8)
         serial = Reconciliation(seed=8).solve(problem_a)
-        crashed = Reconciliation(seed=8, parallel=_POOL2).solve(problem_b)
+        crashed = Reconciliation(seed=8, jobs=2).solve(problem_b)
         assert _signature(serial) == _signature(crashed)

@@ -9,7 +9,7 @@ from repro.datagen.synthetic import synthetic_problem
 from repro.experiments import runner
 from repro.experiments.runner import run_panel
 from repro.experiments.sweep import run_sweep
-from repro.parallel import HAVE_SHARED_MEMORY, ParallelConfig
+from repro.parallel import HAVE_SHARED_MEMORY
 from repro.scenario import TrajectoryScenario
 
 needs_shm = pytest.mark.skipif(
@@ -18,6 +18,13 @@ needs_shm = pytest.mark.skipif(
 )
 
 ALGORITHMS = ("RANDOM", "NEAREST", "GREEDY", "RECON")
+
+
+@pytest.fixture(autouse=True)
+def _two_cpus(pin_cpus):
+    # Real worker pools even on 1-CPU CI boxes (deliberate
+    # oversubscription): ``jobs=2`` then starts two workers.
+    pin_cpus(2)
 
 
 def _factory(n_customers: int, seed: int):
@@ -60,7 +67,7 @@ class TestSweepParity:
         serial = run_sweep("t", _points(), algorithms=ALGORITHMS, seed=3)
         fanned = run_sweep(
             "t", _points(), algorithms=ALGORITHMS, seed=3,
-            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+            jobs=2,
         )
         assert [_row_key(r) for r in serial.rows] == \
             [_row_key(r) for r in fanned.rows]
@@ -72,7 +79,7 @@ class TestSweepParity:
         serial = run_sweep("t", point, algorithms=ALGORITHMS, seed=2)
         fanned = run_sweep(
             "t", point, algorithms=ALGORITHMS, seed=2,
-            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+            jobs=2,
         )
         assert [_row_key(r) for r in serial.rows] == \
             [_row_key(r) for r in fanned.rows]
@@ -86,7 +93,7 @@ class TestPanelParity:
         serial = run_panel(problem_a, algorithms=ALGORITHMS, seed=4)
         fanned = run_panel(
             problem_b, algorithms=ALGORITHMS, seed=4,
-            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+            jobs=2,
         )
         assert list(serial) == list(fanned)  # panel order preserved
         for name in ALGORITHMS:
@@ -102,7 +109,7 @@ class TestPanelParity:
         serial = run_panel(problem_a, algorithms=("ONLINE",), seed=5)
         fanned = run_panel(
             problem_b, algorithms=("ONLINE", "GREEDY"), seed=5,
-            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+            jobs=2,
         )
         assert serial["ONLINE"].total_utility == \
             fanned["ONLINE"].total_utility
@@ -127,7 +134,7 @@ class TestPanelParity:
         serial = run_panel(problem, algorithms=members, seed=6, moves=moves)
         fanned = run_panel(
             problem, algorithms=members, seed=6, moves=moves,
-            parallel=ParallelConfig(jobs=2, clamp_jobs=False),
+            jobs=2,
         )
         assert calls == [True]
         assert any(
@@ -141,12 +148,14 @@ class TestPanelParity:
 
 
 class TestSweepFallback:
-    def test_pool_decline_matches_serial(self):
-        config = ParallelConfig(jobs=2, start_method="not-a-method")
+    def test_pool_decline_matches_serial(self, pin_cpus):
+        # One usable CPU makes the pool decline; the sweep must run its
+        # serial loop with identical rows.
+        pin_cpus(1)
         serial = run_sweep("t", _points()[:2], algorithms=("GREEDY",), seed=1)
         declined = run_sweep(
             "t", _points()[:2], algorithms=("GREEDY",), seed=1,
-            parallel=config,
+            jobs=2,
         )
         assert [_row_key(r) for r in serial.rows] == \
             [_row_key(r) for r in declined.rows]

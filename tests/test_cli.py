@@ -115,10 +115,23 @@ def test_info(capsys):
     out = capsys.readouterr().out
     assert "repro version" in out
     assert "cpu count" in out
-    assert "start methods" in out
+    assert "start method" in out
     assert "greedy-lp" in out
     assert "shard card" in out
     assert "replicated:" in out
+
+
+def test_info_cpu_count_is_what_jobs_resolves_against(capsys, pin_cpus):
+    # ``--jobs 0`` resolves through the affinity-aware CPU count, so
+    # that is the count the card must print (not the machine's total).
+    from repro.parallel import pool_workers, start_method
+
+    pin_cpus(3)
+    assert main(["info"]) == 0
+    out = capsys.readouterr().out
+    assert "cpu count:      3 " in out
+    assert pool_workers(0, 100) == 3
+    assert f"start method:   {start_method()} " in out
 
 
 def test_info_cluster_card(capsys):
